@@ -139,19 +139,12 @@ def _guess_dataset(spec):
     return "digits" if spec.input_shape[0] == 1 else "cifar10"
 
 
-def _apply_whitening(images, whitening):
-    shape = images.shape
-    flat = images.reshape(shape[0], -1).astype(np.float64)
-    white = (flat - whitening.mean) @ whitening.matrix
-    return white.reshape(shape).astype(np.float32)
-
-
 def _cmd_eval(args):
     ckpt = load_checkpoint(args.ckpt)
     test_ds = _load_split(_guess_dataset(ckpt.spec), args.data, "test")
     images = test_ds.images
     if ckpt.whitening is not None:
-        images = _apply_whitening(images, ckpt.whitening)
+        images = data_mod.whiten(images, ckpt.whitening)
     err, loss_val = evaluate(ckpt.params, ckpt.spec, images, test_ds.labels,
                              unroll_T=args.unroll)
     print(f"test_error = {err:.6f}")
@@ -179,7 +172,7 @@ def _load_image(path, index, spec, whitening):
                         f"model input {(c, h, w)}")
     batch = img[None].astype(np.float32)
     if whitening is not None:
-        batch = _apply_whitening(batch, whitening)
+        batch = data_mod.whiten(batch, whitening)
     return batch
 
 

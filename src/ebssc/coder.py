@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor
-from .shrinkage import ThresholdPair, shrink
+from .shrinkage import ThresholdPair, branch_code
 
 __all__ = ["ClassBiasParams", "CodeResult", "UnitScaleResult",
            "class_thresholds", "ssc_encode", "ebssc_encode",
@@ -115,40 +115,12 @@ class CodeResult:
         return 2.0 * self.lambda_star
 
 
-def _branch_code(v, beta_plus, beta_minus, c_plus=None, c_minus=None):
-    """Per-coefficient maximizer of v·z - P(z) + c+·z+ + c-·z- before
-    projection.  Returns (z_tilde, pos_mask, neg_mask); masks flag strictly
-    active coefficients (used as exact subgradients away from kinks).
-    """
-    pos_drive = v - beta_plus
-    if c_plus is not None:
-        pos_drive = pos_drive + c_plus
-    pos_part = np.maximum(pos_drive, 0.0)
-
-    finite_neg = np.isfinite(beta_minus)
-    neg_drive = v + np.where(finite_neg, beta_minus, 0.0)
-    if c_minus is not None:
-        neg_drive = neg_drive + c_minus
-    neg_part = np.where(finite_neg, np.minimum(neg_drive, 0.0), 0.0)
-
-    choose_pos = pos_part >= -neg_part
-    z_tilde = np.where(choose_pos, pos_part, neg_part)
-    pos_mask = choose_pos & (pos_part > 0)
-    neg_mask = ~choose_pos & (neg_part < 0)
-    return z_tilde, pos_mask, neg_mask
-
-
 def code_from_correlation(v, thresholds, c_plus=None, c_minus=None):
     """Solve the coding problem given the correlation tensor directly."""
     thresholds.require_proper()
     v = np.asarray(v)
-    if c_plus is None and c_minus is None:
-        z_tilde = shrink(v, thresholds)
-    else:
-        z_tilde, _, _ = _branch_code(
-            v, np.asarray(thresholds.beta_plus),
-            np.asarray(thresholds.beta_minus), c_plus, c_minus)
-        z_tilde = z_tilde.astype(v.dtype, copy=False)
+    z_tilde, _, _ = branch_code(v, thresholds.beta_plus,
+                                thresholds.beta_minus, c_plus, c_minus)
     norm = tensor.l2_norm(z_tilde)
     if norm > 0:
         code = (z_tilde / norm).astype(v.dtype, copy=False)

@@ -24,7 +24,8 @@ import numpy as np
 from .errors import DataError
 
 __all__ = ["Dataset", "Whitening", "load_idx", "save_idx",
-           "load_cifar10_bin", "load_digits_dir", "preprocess", "augment",
+           "load_cifar10_bin", "load_digits_dir", "whiten", "preprocess",
+           "augment",
            "digits_arrays", "write_digits_idx", "DIGIT_NAMES",
            "CIFAR10_NAMES"]
 
@@ -145,20 +146,27 @@ def load_digits_dir(path, split):
 ZCA_FLOOR = 0.1
 
 
+def whiten(images, stats):
+    """Apply stored whitening statistics to (N, C, H, W) images."""
+    shape = images.shape
+    flat = images.reshape(shape[0], -1).astype(np.float64)
+    white = (flat - stats.mean) @ stats.matrix
+    return white.reshape(shape).astype(np.float32)
+
+
 def preprocess(dataset, stats=None):
     """Center and ZCA-whiten; training statistics are reused verbatim on
     any later split passed with ``stats``.  Returns (dataset, stats)."""
-    shape = dataset.images.shape
-    flat = dataset.images.reshape(shape[0], -1).astype(np.float64)
     if stats is None:
+        n = len(dataset.images)
+        flat = dataset.images.reshape(n, -1).astype(np.float64)
         mean = flat.mean(axis=0)
         centered = flat - mean
-        cov = centered.T @ centered / shape[0]
+        cov = centered.T @ centered / n
         lam, u = np.linalg.eigh(cov)
         matrix = (u * (1.0 / np.sqrt(lam + ZCA_FLOOR))) @ u.T
         stats = Whitening(mean=mean, matrix=matrix)
-    white = (flat - stats.mean) @ stats.matrix
-    return Dataset(images=white.reshape(shape).astype(np.float32),
+    return Dataset(images=whiten(dataset.images, stats),
                    labels=dataset.labels,
                    class_names=dataset.class_names,
                    whitening=stats), stats

@@ -32,4 +32,5 @@ class ConfigError(ValueError):
 
 
 class DataError(ValueError):
-    """A dataset file is malformed or inconsistent with its header."""
+    """A dataset file is malformed or inconsistent with its header, or an
+    input array holds non-finite values."""

@@ -24,6 +24,14 @@ augmented by the reconstruction fed back from the block above.  Pooling
 decisions are frozen to the initial forward pass's switches, so every
 update is an exact coordinate maximization and the joint energy can only
 go up.
+
+``forward`` owns each coding block's state.  It records the block's
+correlation v and the thresholds (beta_plus, beta_minus) it coded with,
+and so alone decides where the class-hypothesis axis sits; unrolling and
+``class_energy_breakdown`` start from that record instead of rebuilding
+it.  A recorded v carries the forward pass's dropout mask, which the
+correlations an unrolled sweep refreshes cannot, so train-mode unrolling
+refuses coding segments that use dropout.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ import numpy as np
 
 from . import tensor
 from .coder import ClassBiasParams, class_thresholds
-from .errors import ShapeError
+from .errors import DataError, ShapeError
 from .tape import PlainOps
 
 __all__ = ["BlockSpec", "NetworkSpec", "ForwardResult", "UnrollResult",
@@ -194,12 +202,19 @@ def build(spec, seed, dtype=np.float32):
 
 @dataclass
 class ForwardResult:
-    """Per-block outputs plus everything decoding and training reuse."""
+    """Per-block outputs plus everything decoding, training, unrolling and
+    the energy breakdown reuse.  For each coding block i, ``correlations[i]``
+    is its v (class axis included from ``class_axis_at`` on, dropout mask
+    applied in train mode) and ``thresholds[i]`` its (beta_plus,
+    beta_minus); both are arrays under PlainOps and tape nodes under
+    TapeOps."""
 
     outputs: list
     codes: dict
     pre_projections: dict
     switches: dict
+    correlations: dict = field(default_factory=dict)
+    thresholds: dict = field(default_factory=dict)
     scores: object = None
     class_axis_at: int = -1
 
@@ -264,7 +279,16 @@ def forward(params, spec, x, y=None, mode="eval", ops=None, rng=None,
             leaves=None):
     """Run the network. With the energy classifier and y=None, the class
     hypothesis axis is vectorized: activations from the first ebssc block
-    on gain a leading class dimension and scores cover every class."""
+    on gain a leading class dimension and scores cover every class.
+
+    Raises ShapeError when x's trailing (C, H, W) is not the spec's input
+    shape, and DataError when x holds a non-finite value."""
+    x = np.asarray(x)
+    if x.shape[-3:] != tuple(spec.input_shape):
+        raise ShapeError("input does not match the network",
+                         x.shape[-3:], tuple(spec.input_shape))
+    if not np.isfinite(x).all():
+        raise DataError("input holds non-finite values")
     if ops is None:
         ops = PlainOps()
     if leaves is None:
@@ -273,7 +297,7 @@ def forward(params, spec, x, y=None, mode="eval", ops=None, rng=None,
         raise ValueError(f"mode must be train or eval, got {mode!r}")
     head, head_idx = spec.classifier
 
-    t = ops.leaf(np.asarray(x))
+    t = ops.leaf(x)
     res = ForwardResult(outputs=[], codes={}, pre_projections={},
                         switches={})
     score_terms = []
@@ -312,6 +336,8 @@ def forward(params, spec, x, y=None, mode="eval", ops=None, rng=None,
             bp, bm = _threshold_nodes(ops, leaves, spec, i, y)
             zt = ops.branch_code(v, bp, bm)
             z = ops.normalize(zt)
+            res.correlations[i] = v
+            res.thresholds[i] = (bp, bm)
             res.pre_projections[i] = zt
             res.codes[i] = z
             if b.kind == "ebssc":
@@ -358,6 +384,7 @@ class UnrollResult:
 
 def _segment_energy(ops, states):
     """Joint segment energy: sum of <v, z> - P(z) over coding blocks.
+    Returns (total, the ebssc blocks' terms).
 
     Blocks below the first class-conditional one contribute a term with
     no class axis; those are given a trailing singleton so the sum
@@ -370,7 +397,8 @@ def _segment_energy(ops, states):
         if len(term.shape) == 1 and width > 1:
             term = ops.reshape(term, term.shape + (1,))
         total = term if total is None else ops.add(total, term)
-    return total
+    return total, [term for st, term in zip(states, terms)
+                   if st["spec"].kind == "ebssc"]
 
 
 def unrolled_infer(params, spec, x, T, y=None, mode="eval", ops=None,
@@ -379,7 +407,9 @@ def unrolled_infer(params, spec, x, T, y=None, mode="eval", ops=None,
     blocks.  T=0 reproduces forward() exactly; each sweep updates codes
     top-down with reconstruction feedback, then bottom-up refreshing each
     block's linear term from the codes below.  The reported energy trace
-    is the joint segment energy after the initial pass and each sweep."""
+    is the joint segment energy after the initial pass and each sweep, and
+    the scores are the ebssc terms of the last one.  Train mode refuses a
+    coding segment with dropout (see the module docstring)."""
     if not 0 <= T <= 4:
         raise ValueError(f"unroll depth must be in 0..4, got {T}")
     if ops is None:
@@ -387,27 +417,25 @@ def unrolled_infer(params, spec, x, T, y=None, mode="eval", ops=None,
     if leaves is None:
         leaves = {name: ops.leaf(p) for name, p in params.items()}
     segment = _coding_segment(spec)
+    if mode == "train" and any(spec.blocks[i].dropout_rate > 0
+                               for i in segment):
+        raise ValueError("train-mode unrolling does not support dropout "
+                         "in the coding segment")
     fwd = forward(params, spec, x, y=y, mode=mode, ops=ops, rng=rng,
                   leaves=leaves)
 
-    # Gather per-coding-block state and the frozen pool path between them.
+    # Start from forward's per-block state; freeze the pool path between.
     states = []
     for pos, i in enumerate(segment):
         b = spec.blocks[i]
-        inp = fwd.outputs[i - 1] if i > 0 else ops.leaf(np.asarray(x))
-        v = ops.correlate(inp, leaves[f"block{i}.bank"], b.pad)
-        if b.kind == "ebssc" and y is None:
-            v = _insert_class_axis(ops, v)
-        bp, bm = _threshold_nodes(ops, leaves, spec, i, y)
-        pools = []
-        if pos + 1 < len(segment):
-            for j in range(i + 1, segment[pos + 1]):
-                bj = spec.blocks[j]
-                if bj.kind in POOL_KINDS:
-                    pools.append((j, bj, fwd.switches[j]))
-        states.append({"block": i, "spec": b, "v": v, "bp": bp, "bm": bm,
-                       "z": fwd.codes[i], "pools": pools,
-                       "k": b.kernel[0]})
+        above = segment[pos + 1] if pos + 1 < len(segment) else i + 1
+        pools = [(j, spec.blocks[j], fwd.switches[j])
+                 for j in range(i + 1, above)
+                 if spec.blocks[j].kind in POOL_KINDS]
+        bp, bm = fwd.thresholds[i]
+        states.append({"block": i, "spec": b, "v": fwd.correlations[i],
+                       "bp": bp, "bm": bm, "z": fwd.codes[i],
+                       "pools": pools, "k": b.kernel[0]})
 
     def resolve(pos, feedback):
         st = states[pos]
@@ -419,8 +447,7 @@ def unrolled_infer(params, spec, x, T, y=None, mode="eval", ops=None,
                 # Class-conditional feedback reached a block coded before
                 # the class axis existed; lift its linear term so every
                 # later use broadcasts per class hypothesis.
-                vs = st["v"].shape
-                st["v"] = ops.reshape(st["v"], vs[:-3] + (1,) + vs[-3:])
+                st["v"] = _insert_class_axis(ops, st["v"])
             zt = ops.branch_code(st["v"], st["bp"], st["bm"], cp, cm)
         st["z"] = ops.normalize(zt)
 
@@ -443,29 +470,23 @@ def unrolled_infer(params, spec, x, T, y=None, mode="eval", ops=None,
         for j, bj, sw in below["pools"]:
             t = ops.switch_pool(t, sw, bj.kernel[0], bj.stride, bj.pad)
         st = states[pos]
-        v = ops.correlate(t, leaves[f"block{st['block']}.bank"],
-                          st["spec"].pad)
-        st["v"] = v
-
-    trace = [np.asarray(ops.value(_segment_energy(ops, states)),
-                        dtype=np.float64)]
+        st["v"] = ops.correlate(t, leaves[f"block{st['block']}.bank"],
+                                st["spec"].pad)
 
     last = len(states) - 1
-    for _ in range(T):
-        for pos in range(last, -1, -1):
-            fb = feedback_into(pos) if pos < last else None
-            resolve(pos, fb)
-        for pos in range(1, last + 1):
-            refresh_v(pos)
-            fb = feedback_into(pos) if pos < last else None
-            resolve(pos, fb)
-        trace.append(np.asarray(ops.value(_segment_energy(ops, states)),
-                                dtype=np.float64))
+    trace = []
+    for sweep in range(T + 1):
+        if sweep > 0:
+            for pos in range(last, -1, -1):
+                resolve(pos, feedback_into(pos) if pos < last else None)
+            for pos in range(1, last + 1):
+                refresh_v(pos)
+                resolve(pos, feedback_into(pos) if pos < last else None)
+        total, energy_terms = _segment_energy(ops, states)
+        trace.append(np.asarray(ops.value(total), dtype=np.float64))
 
-    score_terms = [
-        _score_term(ops, st["v"], st["bp"], st["bm"], st["z"])
-        for st in states if st["spec"].kind == "ebssc"]
-    scores = ops.add_n(score_terms) if (y is None and score_terms) else None
+    scores = (ops.add_n(energy_terms) if y is None and energy_terms
+              else None)
     codes = {st["block"]: st["z"] for st in states}
     return UnrollResult(codes=codes, scores=scores, energy_trace=trace,
                         forward_result=fwd)
@@ -537,7 +558,8 @@ def class_energy_breakdown(params, spec, x):
 
     Each block contributes <v, z> minus the signed offset term b.sum(z)
     to e_code and -w_hat_plus.z_plus + w_hat_minus.z_minus to e_class;
-    their sum equals forward()'s score for that hypothesis.
+    their sum equals forward()'s score for that hypothesis.  v and z are
+    the ones forward() recorded.
     """
     from .energy import EnergyBreakdown
     fwd = forward(params, spec, x)
@@ -545,10 +567,7 @@ def class_energy_breakdown(params, spec, x):
     for i, b in enumerate(spec.blocks):
         if b.kind != "ebssc":
             continue
-        below = fwd.outputs[i - 1] if i > 0 else np.asarray(x)
-        v = tensor.cross_correlate(below, params[f"block{i}.bank"], b.pad)
-        if v.ndim < fwd.codes[i].ndim:
-            v = np.expand_dims(v, -4)
+        v = fwd.correlations[i]
         z = fwd.codes[i].astype(np.float64)
         zp, zm = np.maximum(z, 0.0), np.minimum(z, 0.0)
         cb = _class_biases(params, spec, i)

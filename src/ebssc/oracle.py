@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor
-from .energy import lsq_objective
 from .errors import OracleDivergenceError
 from .shrinkage import ThresholdPair, shrink
 
@@ -45,33 +44,41 @@ class OracleReport:
     iterations: int = 0
 
 
-def _sq_operator_norm(bank, code_shape, pad, iters=100, seed=0):
-    """Largest eigenvalue of D'D via power iteration on code space."""
-    rng = np.random.default_rng(seed)
-    q = rng.standard_normal(code_shape)
-    q /= max(tensor.l2_norm(q), 1e-30)
-    lam = 0.0
-    for _ in range(iters):
-        r = tensor.cross_correlate(tensor.reconstruct(q, bank, pad), bank, pad)
-        lam = tensor.l2_norm(r)
-        if lam <= 1e-30:
-            return 0.0
-        q = r / lam
-    return lam
+MAX_CODE_SIZE = 4096
 
 
 def _code_shape(x, bank, pad):
     k, _, kh, kw = bank.shape
     h, w = x.shape[-2], x.shape[-1]
-    return (k, h - kh + 1 + 2 * pad, w - kw + 1 + 2 * pad)
+    shape = (k, h - kh + 1 + 2 * pad, w - kw + 1 + 2 * pad)
+    size = int(np.prod(shape))
+    if size > MAX_CODE_SIZE:
+        raise ValueError(
+            f"oracle limited to code sizes <= {MAX_CODE_SIZE}, got {size}")
+    return shape
+
+
+def _dense_operator(bank, shape, pad):
+    """The reconstruction map as a dense (input size, code size) matrix,
+    built by reconstructing the code-space identity 512 rows at a time,
+    which bounds the temporaries at the code-size cap."""
+    size = int(np.prod(shape))
+    rows = []
+    for i in range(0, size, 512):
+        eye = np.eye(min(512, size - i), size, k=i)
+        r = tensor.reconstruct(eye.reshape((-1,) + shape), bank, pad)
+        rows.append(r.reshape(len(eye), -1))
+    return np.concatenate(rows).T
 
 
 def ista_csc(x, bank, beta, pad=0, iters=2000, tol=1e-12, z0=None):
-    """Minimize ||x - Dz||^2 + beta*||z||_1 by ISTA with step 1/(2*lmax)."""
+    """Minimize ||x - Dz||^2 + beta*||z||_1 by ISTA with step 1/(2*lmax),
+    iterating on the dense operator D with the exact lmax = ||D||_2^2."""
     x = np.asarray(x, dtype=np.float64)
     bank = np.asarray(bank, dtype=np.float64)
     shape = _code_shape(x, bank, pad)
-    lam = _sq_operator_norm(bank, shape, pad)
+    d = _dense_operator(bank, shape, pad)
+    lam = np.linalg.norm(d, 2) ** 2
     step = 1.0 / (2.0 * max(lam, 1e-12) * 1.05)
     pair = ThresholdPair.symmetric(step * float(beta))
 
@@ -82,13 +89,15 @@ def ista_csc(x, bank, beta, pad=0, iters=2000, tol=1e-12, z0=None):
         if z.shape != shape:
             raise ValueError(f"warm start shape {z.shape} does not match "
                              f"the code shape {shape}")
-    report = OracleReport(final_point=z)
+    z = z.ravel()
+    target = x.ravel()
+    resid = d @ z - target
+    report = OracleReport(final_point=z.reshape(shape))
     prev = np.inf
     for it in range(iters):
-        resid = tensor.reconstruct(z, bank, pad) - x
-        grad = 2.0 * tensor.cross_correlate(resid, bank, pad)
-        z = shrink(z - step * grad, pair)
-        obj = lsq_objective(x, z, bank, beta, pad)
+        z = shrink(z - (2.0 * step) * (resid @ d), pair)
+        resid = d @ z - target
+        obj = float(resid @ resid + float(beta) * np.abs(z).sum())
         report.objective_trace.append(obj)
         if obj > prev + MONOTONE_SLACK:
             raise OracleDivergenceError(
@@ -100,7 +109,7 @@ def ista_csc(x, bank, beta, pad=0, iters=2000, tol=1e-12, z0=None):
         prev = obj
     else:
         report.iterations = iters
-    report.final_point = z
+    report.final_point = z.reshape(shape)
     return report
 
 
@@ -188,10 +197,6 @@ def unit_recon_solve(x, bank, beta, pad=0, bisect_iters=200, norm_tol=1e-6):
     """
     x = np.asarray(x, dtype=np.float64)
     bank = np.asarray(bank, dtype=np.float64)
-    code_size = int(np.prod(_code_shape(x, bank, pad)))
-    if code_size > 4096:
-        raise ValueError(
-            f"oracle limited to code sizes <= 4096, got {code_size}")
 
     warm = [None]  # successive mu values are close; reuse the last solve
 

@@ -27,7 +27,8 @@ import numpy as np
 
 from .errors import ImproperThresholdError
 
-__all__ = ["ThresholdPair", "shrink", "shrink_subgradient", "crelu_split"]
+__all__ = ["ThresholdPair", "branch_code", "shrink", "shrink_subgradient",
+           "crelu_split"]
 
 
 @dataclass(frozen=True)
@@ -77,41 +78,51 @@ class ThresholdPair:
         return self
 
 
-def _branch_masks(v, pair):
-    """Boolean (positive, negative) activity masks; kinks count as inactive."""
-    bp = np.asarray(pair.beta_plus)
-    bm = np.asarray(pair.beta_minus)
-    pos = v - bp > 0
-    if np.isinf(bm).any():
-        neg = np.isfinite(bm) & (v + bm < 0)
-    else:
-        neg = v + bm < 0
-    return pos, neg
+def branch_code(v, beta_plus, beta_minus, c_plus=None, c_minus=None):
+    """Per-coefficient maximizer of v·z - P(z) + c+·z+ + c-·z- before
+    projection: the one branch rule behind ``shrink``, the coder and the
+    network ops.  Thresholds and bonuses are cast to v's dtype.
+
+    Returns (z_tilde, pos_mask, neg_mask); the masks flag strictly active
+    coefficients (exact subgradients away from kinks).  NaN entries of v
+    propagate into z_tilde and are flagged in neither mask.
+    """
+    v = np.asarray(v)
+    pos_drive = v - np.asarray(beta_plus, dtype=v.dtype)
+    if c_plus is not None:
+        pos_drive = pos_drive + np.asarray(c_plus, dtype=v.dtype)
+    pos_part = np.maximum(pos_drive, 0)
+
+    bm = np.asarray(beta_minus, dtype=v.dtype)
+    finite_neg = np.isfinite(bm)
+    neg_drive = v + np.where(finite_neg, bm, 0)
+    if c_minus is not None:
+        neg_drive = neg_drive + np.asarray(c_minus, dtype=v.dtype)
+    neg_part = np.where(finite_neg, np.minimum(neg_drive, 0), 0)
+
+    # Ties and NaN take the positive arm, so NaN survives the choice.
+    neg_mask = pos_part < -neg_part
+    z_tilde = np.where(neg_mask, neg_part, pos_part)
+    pos_mask = ~neg_mask & (pos_part > 0)
+    return z_tilde, pos_mask, neg_mask
 
 
 def shrink(v, pair):
-    """Apply two-sided shrinkage elementwise. Raises on improper pairs."""
+    """Apply two-sided shrinkage elementwise. Raises on improper pairs;
+    NaN entries of v stay NaN."""
     pair.require_proper()
-    v = np.asarray(v)
-    pos, neg = _branch_masks(v, pair)
-    shape = np.broadcast_shapes(v.shape, np.shape(pair.beta_plus),
-                                np.shape(pair.beta_minus))
-    out = np.zeros(shape, dtype=v.dtype)
-    np.copyto(out, v - np.asarray(pair.beta_plus, dtype=v.dtype), where=pos)
-    bm = np.where(np.isfinite(pair.beta_minus), pair.beta_minus, 0.0)
-    np.copyto(out, v + np.asarray(bm, dtype=v.dtype), where=neg)
-    return out
+    return branch_code(v, pair.beta_plus, pair.beta_minus)[0]
 
 
 def shrink_subgradient(v, pair):
     """{0, 1} mask: 1 where shrink is locally the identity-plus-shift.
 
-    Zero inside the dead zone and exactly at the kinks, matching the
-    convention used throughout backpropagation.
+    Zero inside the dead zone, exactly at the kinks and at NaN entries,
+    matching the convention used throughout backpropagation.
     """
     pair.require_proper()
     v = np.asarray(v)
-    pos, neg = _branch_masks(v, pair)
+    _, pos, neg = branch_code(v, pair.beta_plus, pair.beta_minus)
     return (pos | neg).astype(v.dtype)
 
 

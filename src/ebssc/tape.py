@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import tensor
-from .coder import _branch_code
+from . import shrinkage, tensor
 
 __all__ = ["Tape", "Node", "PlainOps", "TapeOps"]
 
@@ -112,10 +111,6 @@ class PlainOps:
         return a * b
 
     @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
     def scale(a, c):
         return a * c
 
@@ -140,8 +135,7 @@ class PlainOps:
 
     @staticmethod
     def branch_code(v, bp, bm, cp=None, cm=None):
-        z, _, _ = _branch_code(v, bp, bm, cp, cm)
-        return z.astype(v.dtype, copy=False)
+        return shrinkage.branch_code(v, bp, bm, cp, cm)[0]
 
     @staticmethod
     def normalize(t):
@@ -173,14 +167,6 @@ class PlainOps:
     @staticmethod
     def maxunpool(t, switches, window, stride, pad, out_hw):
         return tensor.max_unpool(t, switches, window, stride, pad, out_hw)
-
-    @staticmethod
-    def avgpool(t, window, stride, pad):
-        return tensor.avg_pool(t, window, stride, pad)
-
-    @staticmethod
-    def avgunpool(t, window, stride, pad, out_hw):
-        return tensor.avg_unpool(t, window, stride, pad, out_hw)
 
     @staticmethod
     def dropout(t, mask):
@@ -248,11 +234,6 @@ class TapeOps:
             _acc(b, _unbroadcast(g * a.value, b.shape))
         return self.tape.node(a.value * b.value, (a, b), bwd)
 
-    def neg(self, a):
-        def bwd(g):
-            _acc(a, -g)
-        return self.tape.node(-a.value, (a,), bwd)
-
     def scale(self, a, c):
         def bwd(g):
             _acc(a, g * c)
@@ -294,8 +275,8 @@ class TapeOps:
     def branch_code(self, v, bp, bm, cp=None, cm=None):
         cpv = None if cp is None else cp.value
         cmv = None if cm is None else cm.value
-        z, pos, neg = _branch_code(v.value, bp.value, bm.value, cpv, cmv)
-        z = z.astype(v.dtype, copy=False)
+        z, pos, neg = shrinkage.branch_code(
+            v.value, bp.value, bm.value, cpv, cmv)
         parents = (v, bp, bm) + tuple(p for p in (cp, cm) if p is not None)
 
         def bwd(g):
@@ -372,21 +353,6 @@ class TapeOps:
             _acc(t, tensor.switch_gather(g, switches, window, stride, pad))
         return self.tape.node(
             tensor.max_unpool(t.value, switches, window, stride, pad, out_hw),
-            (t,), bwd)
-
-    def avgpool(self, t, window, stride, pad):
-        out_hw = t.shape[-2:]
-
-        def bwd(g):
-            _acc(t, tensor.avg_unpool(g, window, stride, pad, out_hw))
-        return self.tape.node(tensor.avg_pool(t.value, window, stride, pad),
-                              (t,), bwd)
-
-    def avgunpool(self, t, window, stride, pad, out_hw):
-        def bwd(g):
-            _acc(t, tensor.avg_pool(g, window, stride, pad))
-        return self.tape.node(
-            tensor.avg_unpool(t.value, window, stride, pad, out_hw),
             (t,), bwd)
 
     def dropout(self, t, mask):

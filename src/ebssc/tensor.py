@@ -33,7 +33,6 @@ __all__ = [
     "max_unpool",
     "switch_gather",
     "avg_pool",
-    "avg_unpool",
     "pool_output_size",
     "inner",
     "l1_norm",
@@ -253,31 +252,9 @@ def avg_pool(x, window, stride=None, pad=0):
     stride = window if stride is None else stride
     _check_pool_args(window, stride, pad)
     sums = _pool_windows(_pad_hw(x, pad), window, stride).sum(axis=(-2, -1))
-    counts = _pool_counts(x.shape[-2:], window, stride, pad, x.dtype)
+    ones = np.ones(x.shape[-2:], dtype=x.dtype)
+    counts = _pool_windows(_pad_hw(ones, pad), window, stride).sum(axis=(-2, -1))
     return sums / counts
-
-
-def _pool_counts(hw, window, stride, pad, dtype):
-    ones = np.ones((1,) + tuple(hw), dtype=dtype)
-    return _pool_windows(_pad_hw(ones, pad), window, stride).sum(axis=(-2, -1))[0]
-
-
-def avg_unpool(values, window, stride, pad, out_hw):
-    """Exact adjoint of `avg_pool`: spread value/count over in-bounds cells."""
-    values = _require_map(values, "pooled map")
-    h, w = out_hw
-    counts = _pool_counts(out_hw, window, stride, pad, values.dtype)
-    spread = values / counts
-    lead = values.shape[:-2]
-    ho, wo = values.shape[-2], values.shape[-1]
-    out_p = np.zeros(lead + (h + 2 * pad, w + 2 * pad), dtype=values.dtype)
-    for u in range(window):
-        for v in range(window):
-            out_p[..., u:u + (ho - 1) * stride + 1:stride,
-                  v:v + (wo - 1) * stride + 1:stride] += spread
-    if pad == 0:
-        return out_p
-    return np.ascontiguousarray(out_p[..., pad:pad + h, pad:pad + w])
 
 
 def inner(a, b):

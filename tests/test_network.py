@@ -4,7 +4,7 @@ unrolled refinement, and deconvolutional decoding."""
 import numpy as np
 import pytest
 
-from ebssc import ShapeError
+from ebssc import DataError, ShapeError
 from ebssc.config import variant_spec
 from ebssc.network import BlockSpec, NetworkSpec, block_shapes, build, \
     class_energy_breakdown, decode, decode_class_bias, decode_residual, \
@@ -21,6 +21,16 @@ def _toy_energy_spec(beta=0.15, bias_maps=False):
                         bias_maps=bias_maps))
     return NetworkSpec(blocks=blocks, classifier=("energy", 2),
                        num_classes=3, input_shape=(1, 8, 8))
+
+
+def _stacked_energy_spec(beta=0.15):
+    """ssc -> ebssc -> ebssc on 1x6x6 inputs, three classes: the upper
+    ebssc block inherits the class axis from the one below."""
+    blocks = (BlockSpec("ssc", (4, 1, 3, 3), pad=1, beta=beta),
+              BlockSpec("ebssc", (3, 8, 3, 3), pad=1, beta=beta),
+              BlockSpec("ebssc", (2, 6, 3, 3), pad=1, beta=beta))
+    return NetworkSpec(blocks=blocks, classifier=("energy", 1),
+                       num_classes=3, input_shape=(1, 6, 6))
 
 
 def _toy_linear_spec():
@@ -206,6 +216,22 @@ class TestForwardEnergy:
         res = forward(params, spec, x)
         assert np.shape(res.scores) == (1, 3)
 
+    def test_input_shape_checked(self):
+        """An input whose (C, H, W) is not the spec's is refused."""
+        spec = _toy_energy_spec()
+        params = build(spec, seed=0)
+        with pytest.raises(ShapeError):
+            forward(params, spec, np.zeros((1, 1, 7, 8)))
+
+    def test_non_finite_input_rejected(self):
+        """One NaN pixel raises instead of scoring like a blank image."""
+        spec = _toy_energy_spec()
+        params = build(spec, seed=0)
+        x = np.zeros((1, 1, 8, 8))
+        x[0, 0, 3, 3] = np.nan
+        with pytest.raises(DataError):
+            forward(params, spec, x)
+
     def test_train_dropout_needs_rng(self):
         """Train-mode dropout without a generator is an error."""
         blocks = (BlockSpec("relu", (4, 1, 3, 3), pad=1, dropout_rate=0.0),
@@ -224,27 +250,45 @@ class TestUnrolledInfer:
     """Block-coordinate refinement over the coding segment."""
 
     def test_zero_sweeps_reproduce_forward(self):
-        """T=0 equals the plain pass bitwise."""
-        spec = _toy_energy_spec()
-        params = _generic_params(spec)
-        x = np.random.default_rng(42).standard_normal((2, 1, 8, 8))
-        fwd = forward(params, spec, x)
-        rolled = unrolled_infer(params, spec, x, T=0)
-        np.testing.assert_array_equal(np.asarray(rolled.scores),
-                                      np.asarray(fwd.scores))
-        for i, z in fwd.codes.items():
-            np.testing.assert_array_equal(np.asarray(rolled.codes[i]),
-                                          np.asarray(z))
+        """T=0 equals the plain pass bitwise, also with stacked ebssc
+        blocks."""
+        for spec in (_toy_energy_spec(), _stacked_energy_spec()):
+            params = _generic_params(spec)
+            x = np.random.default_rng(42).standard_normal(
+                (2,) + spec.input_shape)
+            fwd = forward(params, spec, x)
+            rolled = unrolled_infer(params, spec, x, T=0)
+            np.testing.assert_array_equal(np.asarray(rolled.scores),
+                                          np.asarray(fwd.scores))
+            for i, z in fwd.codes.items():
+                np.testing.assert_array_equal(np.asarray(rolled.codes[i]),
+                                              np.asarray(z))
 
     def test_energy_trace_is_nondecreasing(self):
-        """Every sweep may only raise the joint segment energy."""
-        spec = _toy_energy_spec()
-        params = _generic_params(spec, seed=11)
-        x = np.random.default_rng(42).standard_normal((3, 1, 8, 8))
-        rolled = unrolled_infer(params, spec, x, T=3)
-        trace = np.asarray(rolled.energy_trace)
-        assert trace.shape == (4, 3, 3)
-        assert (np.diff(trace, axis=0) >= -1e-9).all()
+        """Every sweep may only raise the joint segment energy, also with
+        stacked ebssc blocks."""
+        for spec in (_toy_energy_spec(), _stacked_energy_spec()):
+            params = _generic_params(spec, seed=11)
+            x = np.random.default_rng(42).standard_normal(
+                (3,) + spec.input_shape)
+            rolled = unrolled_infer(params, spec, x, T=3)
+            trace = np.asarray(rolled.energy_trace)
+            assert trace.shape == (4, 3, 3)
+            assert (np.diff(trace, axis=0) >= -1e-9).all()
+
+    def test_train_mode_refuses_dropout_in_segment(self):
+        """Refreshed correlations carry no dropout mask, so train-mode
+        unrolling over a dropout coding block raises."""
+        blocks = (BlockSpec("ssc", (4, 1, 3, 3), pad=1, beta=0.15),
+                  BlockSpec("ebssc", (3, 8, 3, 3), pad=1, beta=0.15,
+                            dropout_rate=0.5))
+        spec = NetworkSpec(blocks=blocks, classifier=("energy", 1),
+                           num_classes=3, input_shape=(1, 6, 6))
+        params = build(spec, seed=0)
+        x = np.zeros((1, 1, 6, 6))
+        with pytest.raises(ValueError):
+            unrolled_infer(params, spec, x, T=1, mode="train",
+                           rng=np.random.default_rng(0))
 
     def test_depth_is_bounded(self):
         """Unroll depth outside 0..4 is rejected."""

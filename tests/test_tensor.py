@@ -197,16 +197,6 @@ class TestAvgPool:
         want = reference.avg_pool_loops(x, window, stride, pad)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
-    def test_unpool_is_adjoint(self):
-        """<avg_pool(x), z> == <x, avg_unpool(z)>."""
-        rng = np.random.default_rng(42)
-        x = rng.standard_normal((2, 9, 9))
-        pooled = tensor.avg_pool(x, 3, 2, 1)
-        z = rng.standard_normal(pooled.shape)
-        lhs = tensor.inner(pooled, z)
-        rhs = tensor.inner(x, tensor.avg_unpool(z, 3, 2, 1, (9, 9)))
-        np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
-
 
 class TestNorms:
     """Inner products and norms used throughout the energy code."""
