@@ -177,6 +177,13 @@ def _unpack_rng(words):
             "has_uint32": w[4], "uinteger": w[5]}
 
 
+def _unpack_count(name, arr):
+    if arr.size != 1 or arr.dtype.kind not in "iu":
+        raise CheckpointError(f"{name} must hold one integer, got "
+                              f"{arr.dtype} of shape {arr.shape}")
+    return int(arr.item())
+
+
 def save_checkpoint(path, ckpt):
     tensors = {f"param.{k}": v for k, v in ckpt.params.items()}
     if ckpt.opt_state is not None:
@@ -215,7 +222,7 @@ def load_checkpoint(path):
         elif name.startswith("adam.v."):
             v[name[len("adam.v."):]] = arr
         elif name in ("meta.epoch", "meta.step", "meta.adam_step"):
-            meta[name[len("meta."):]] = int(arr)
+            meta[name[len("meta."):]] = _unpack_count(name, arr)
         elif name == "meta.rng":
             rng_state = _unpack_rng(arr)
         elif name == "whiten.mean":

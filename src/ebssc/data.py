@@ -137,8 +137,13 @@ def load_cifar10_bin(paths):
 def load_digits_dir(path, split):
     """Load the train or t10k IDX pair from a directory."""
     stem = {"train": "train", "test": "t10k"}[split]
-    images = load_idx(os.path.join(path, f"{stem}-images-idx3-ubyte"))
-    labels = load_idx(os.path.join(path, f"{stem}-labels-idx1-ubyte"))
+    images_path = os.path.join(path, f"{stem}-images-idx3-ubyte")
+    labels_path = os.path.join(path, f"{stem}-labels-idx1-ubyte")
+    images, labels = load_idx(images_path), load_idx(labels_path)
+    if images.ndim != 3:
+        raise DataError(f"{images_path}: holds labels, not images")
+    if labels.ndim != 1:
+        raise DataError(f"{labels_path}: holds images, not labels")
     return Dataset(images=images[:, None, :, :], labels=labels,
                    class_names=DIGIT_NAMES)
 

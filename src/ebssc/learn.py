@@ -22,7 +22,7 @@ import numpy as np
 
 from .coder import ClassBiasParams
 from .network import forward, unrolled_infer
-from .tape import PlainOps, Tape, TapeOps
+from .tape import Ops, Tape
 
 __all__ = ["TrainConfig", "OptimizerState", "TrainOutcome", "loss",
            "backward", "adam_step", "project_nonneg", "train", "evaluate",
@@ -85,7 +85,7 @@ def loss(params, spec, images, labels, cfg, mode="train", ops=None,
     Returns (loss, scores); both are tape nodes when ``ops`` records.
     """
     if ops is None:
-        ops = PlainOps()
+        ops = Ops()
     if leaves is None:
         leaves = {k: ops.leaf(p) for k, p in params.items()}
     labels = np.asarray(labels)
@@ -110,7 +110,7 @@ def backward(params, spec, images, labels, cfg, mode="train", rng=None):
     Returns (grads, loss value, scores array).
     """
     tape = Tape()
-    ops = TapeOps(tape)
+    ops = Ops(tape)
     leaves = {k: ops.leaf(p) for k, p in params.items()}
     out, scores = loss(params, spec, images, labels, cfg, mode=mode,
                        ops=ops, rng=rng, leaves=leaves)
@@ -179,7 +179,7 @@ def evaluate(params, spec, images, labels, batch_size=200, unroll_T=0):
     n = len(labels)
     wrong = 0
     total_loss = 0.0
-    ops = PlainOps()
+    ops = Ops()
     for idx in _batches(n, batch_size, np.arange(n)):
         xb = images[idx]
         if unroll_T == 0:

@@ -14,8 +14,8 @@ A network is an ordered list of blocks — rectifier baselines (``relu``,
 Every coding block emits split codes (positive and negative parts as
 separate channels), so coding and crelu-family blocks double the channel
 count seen by the next block.  Forward passes are written against the op
-surface in ``tape``: pass ``TapeOps`` to record gradients, or nothing for
-plain evaluation.
+surface in ``tape``: pass ``Ops(tape)`` to record gradients, or nothing
+for plain evaluation.
 
 ``unrolled_infer`` turns the feed-forward pass into block-coordinate
 ascent on the joint coding objective of the trailing coding blocks: each
@@ -43,7 +43,7 @@ import numpy as np
 from . import tensor
 from .coder import ClassBiasParams, class_thresholds
 from .errors import DataError, ShapeError
-from .tape import PlainOps
+from .tape import Ops
 
 __all__ = ["BlockSpec", "NetworkSpec", "ForwardResult", "UnrollResult",
            "build", "block_shapes", "forward", "unrolled_infer",
@@ -137,9 +137,8 @@ def block_shapes(spec):
         if b.kind in CONV_KINDS:
             k, cin, kh, kw = b.kernel
             if cin != c:
-                raise ShapeError((cin,), (c,),
-                                 f"block {i} expects {cin} input channels, "
-                                 f"previous emits {c}")
+                raise ShapeError(f"block {i} expects {cin} input channels, "
+                                 f"previous emits {c}", (cin,), (c,))
             h = h - kh + 1 + 2 * b.pad
             w = w - kw + 1 + 2 * b.pad
             if h < 1 or w < 1:
@@ -206,8 +205,8 @@ class ForwardResult:
     the energy breakdown reuse.  For each coding block i, ``correlations[i]``
     is its v (class axis included from ``class_axis_at`` on, dropout mask
     applied in train mode) and ``thresholds[i]`` its (beta_plus,
-    beta_minus); both are arrays under PlainOps and tape nodes under
-    TapeOps."""
+    beta_minus); both are arrays under ``Ops()`` and tape nodes under
+    ``Ops(tape)``."""
 
     outputs: list
     codes: dict
@@ -290,7 +289,7 @@ def forward(params, spec, x, y=None, mode="eval", ops=None, rng=None,
     if not np.isfinite(x).all():
         raise DataError("input holds non-finite values")
     if ops is None:
-        ops = PlainOps()
+        ops = Ops()
     if leaves is None:
         leaves = {name: ops.leaf(p) for name, p in params.items()}
     if mode not in ("train", "eval"):
@@ -413,7 +412,7 @@ def unrolled_infer(params, spec, x, T, y=None, mode="eval", ops=None,
     if not 0 <= T <= 4:
         raise ValueError(f"unroll depth must be in 0..4, got {T}")
     if ops is None:
-        ops = PlainOps()
+        ops = Ops()
     if leaves is None:
         leaves = {name: ops.leaf(p) for name, p in params.items()}
     segment = _coding_segment(spec)

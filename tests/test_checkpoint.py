@@ -199,6 +199,20 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="network"):
             load_checkpoint(str(path))
 
+    @pytest.mark.parametrize("bad", [np.arange(2, dtype=np.int64),
+                                     np.float64(4.0)],
+                             ids=["two_integers", "float"])
+    def test_meta_counter_must_be_one_integer(self, tmp_path, bad):
+        """A counter that is not a single integer is a CheckpointError."""
+        ck = self._snapshot()
+        path = tmp_path / "run.ckpt"
+        save_checkpoint(str(path), ck)
+        text, tensors = read_tensor_file(str(path))
+        tensors["meta.epoch"] = bad
+        write_tensor_file(str(path), tensors, text=text)
+        with pytest.raises(CheckpointError, match="meta.epoch"):
+            load_checkpoint(str(path))
+
     def test_double_save_is_bitwise_stable(self, tmp_path):
         """Saving a loaded checkpoint reproduces the same file."""
         ck = self._snapshot()

@@ -229,3 +229,15 @@ class TestDigitsCorpus:
         assert te.images.shape == (10, 1, 28, 28)
         assert tr.images.max() <= 1.0
         assert tr.class_names[4] == "4"
+
+    def test_swapped_image_and_label_files(self, tmp_path):
+        """An images file that holds labels (and the reverse) is a
+        DataError, not an IndexError."""
+        write_digits_idx(str(tmp_path), n_train=10, n_test=10, seed=3)
+        images = tmp_path / "t10k-images-idx3-ubyte"
+        labels = tmp_path / "t10k-labels-idx1-ubyte"
+        image_bytes = images.read_bytes()
+        images.write_bytes(labels.read_bytes())
+        labels.write_bytes(image_bytes)
+        with pytest.raises(DataError, match="t10k-images"):
+            load_digits_dir(str(tmp_path), "test")

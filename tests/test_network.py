@@ -76,9 +76,12 @@ class TestBlockShapes:
         """A kernel whose input channels break the chain raises."""
         blocks = (BlockSpec("relu", (4, 1, 3, 3), pad=1),
                   BlockSpec("relu", (4, 7, 3, 3), pad=1))
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError) as info:
             NetworkSpec(blocks=blocks, classifier=("linear", 1),
                         num_classes=2, input_shape=(1, 8, 8))
+        assert info.value.shape_a == (7,)
+        assert info.value.shape_b == (4,)
+        assert str(info.value).startswith("block 1 expects")
 
 
 class TestSpecValidation:

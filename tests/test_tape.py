@@ -5,12 +5,13 @@ import numpy as np
 
 from ebssc import tensor
 from ebssc.oracle import finite_diff
-from ebssc.tape import PlainOps, Tape, TapeOps
+from ebssc.tape import Node, PlainOps, Tape, TapeOps
 
 
 def _gradcheck(fn, x0, atol=1e-7):
     """Compare the taped gradient of ``fn(ops, leaf)`` with central
-    differences of its PlainOps evaluation; also checks value agreement."""
+    differences of its PlainOps evaluation; also checks value agreement
+    and that the untaped evaluation records no node."""
     tape = Tape()
     ops = TapeOps(tape)
     leaf = ops.leaf(x0.astype(np.float64))
@@ -19,7 +20,9 @@ def _gradcheck(fn, x0, atol=1e-7):
 
     def plain(x):
         p = PlainOps()
-        return float(fn(p, p.leaf(x)))
+        value = fn(p, p.leaf(x))
+        assert not isinstance(value, Node)
+        return float(value)
 
     np.testing.assert_allclose(float(out.value), plain(x0), rtol=1e-12)
     got = np.zeros_like(x0) if leaf.grad is None else leaf.grad
