@@ -20,8 +20,8 @@ from .config import parse_config
 from .errors import CheckpointError, ConfigError, DataError
 from .imaging import emit_image_grid
 from .learn import evaluate, train
-from .network import (CODING_KINDS, class_energy_breakdown, decode,
-                      decode_class_bias, decode_residual, forward)
+from .network import (CODING_KINDS, class_energy_breakdown, coding_segment,
+                      decode, decode_class_bias, decode_residual, forward)
 from .oracle import run_check_suite
 
 __all__ = ["main"]
@@ -55,7 +55,7 @@ def _build_parser():
     e = sub.add_parser("eval", help="report test error of a checkpoint")
     e.add_argument("--ckpt", required=True)
     e.add_argument("--data", required=True)
-    e.add_argument("--unroll", type=int, default=0,
+    e.add_argument("--unroll", type=int, default=0, choices=range(5),
                    help="coordinate-ascent sweeps at inference (0-4)")
 
     n = sub.add_parser("encode",
@@ -141,6 +141,11 @@ def _guess_dataset(spec):
 
 def _cmd_eval(args):
     ckpt = load_checkpoint(args.ckpt)
+    if args.unroll:
+        try:
+            coding_segment(ckpt.spec)
+        except ValueError as exc:
+            raise _UsageExit(f"--unroll {args.unroll}: {exc}") from None
     test_ds = _load_split(_guess_dataset(ckpt.spec), args.data, "test")
     images = test_ds.images
     if ckpt.whitening is not None:
@@ -197,11 +202,11 @@ def _cmd_encode(args):
         if b.kind not in CODING_KINDS:
             continue
         code = np.asarray(fwd.codes[i])[0]
-        if i < fwd.class_axis_at or fwd.class_axis_at < 0:
-            tensors[f"code.block{i}"] = code
-        else:
+        if fwd.carries_class_axis(i):
             for y in wanted:
                 tensors[f"code.block{i}.class{y}"] = code[y]
+        else:
+            tensors[f"code.block{i}"] = code
     if ckpt.spec.classifier[0] == "energy":
         bd = class_energy_breakdown(ckpt.params, ckpt.spec, x)
         for name in ("e_code", "e_class", "e_total", "l1_of_code",
@@ -239,19 +244,19 @@ def _cmd_decode(args):
     if args.mode == "recon":
         neutral = _zero_class_bias(ckpt.params, spec)
         fwd = forward(neutral, spec, x)
-        code = np.asarray(fwd.codes[layer])[0]
-        if fwd.class_axis_at >= 0 and layer >= fwd.class_axis_at:
-            code = code[0]  # identical across hypotheses with zero bias
-        img = decode(ckpt.params, spec, code, layer,
-                     {k: v[0] for k, v in fwd.switches.items()})
-        grid = [[img]]
+        # every hypothesis codes alike with zero class bias; take the first
+        code = fwd.hypothesis(0, layer, np.asarray(fwd.codes[layer])[0])
+        switches = {k: fwd.hypothesis(0, k, v[0])
+                    for k, v in fwd.switches.items()}
+        grid = [[decode(ckpt.params, spec, code, layer, switches)]]
     elif args.mode == "bias":
         if spec.blocks[layer].kind != "ebssc":
             raise _UsageExit(f"--mode bias needs an energy block; block "
                              f"{layer} is {spec.blocks[layer].kind}")
         fwd = forward(ckpt.params, spec, x)
-        switches = {k: np.asarray(v)[0] for k, v in fwd.switches.items()}
-        grid = [[decode_class_bias(ckpt.params, spec, y, layer, switches)
+        grid = [[decode_class_bias(ckpt.params, spec, y, layer,
+                                   {k: fwd.hypothesis(y, k, v[0])
+                                    for k, v in fwd.switches.items()})
                  for y in range(spec.num_classes)]]
     else:
         imgs = [decode_residual(ckpt.params, spec, x, y, layer)[0]

@@ -15,7 +15,7 @@ self-describing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 from .learn import TrainConfig
@@ -32,18 +32,11 @@ _BOOL = {"true": True, "false": False}
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """Everything a training run needs besides the data directory."""
+class RunConfig(TrainConfig):
+    """Everything a training run needs besides the data directory: the
+    TrainConfig fields (validated the same way), then the model and data
+    settings."""
 
-    alpha: float = 0.0
-    learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    batch_size: int = 100
-    epochs: int = 10
-    unroll_T: int = 0
-    seed: int = 0
     variant: str = "digits_ssc_ebc2"
     beta: float = 0.05
     dropout: float = 0.0
@@ -82,7 +75,7 @@ def parse_config(text):
     """Parse `key = value` lines ('#' starts a comment) into a RunConfig."""
     kinds = {f.name: f.type for f in fields(RunConfig)}
     types = {"float": float, "int": int, "str": str, "bool": bool}
-    out = RunConfig()
+    values = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -96,13 +89,15 @@ def parse_config(text):
             raise ConfigError(
                 f"line {lineno}: unknown key {key!r}; valid keys: "
                 + ", ".join(sorted(kinds)))
-        out = replace(out, **{key: _coerce(key, raw, types[kinds[key]])})
+        values[key] = _coerce(key, raw, types[kinds[key]])
+    try:
+        out = RunConfig(**values)
+        out.network_spec()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if out.dataset not in ("digits", "cifar10"):
         raise ConfigError(f"dataset must be digits or cifar10, "
                           f"got {out.dataset!r}")
-    if out.variant not in VARIANTS:
-        raise ConfigError(f"unknown variant {out.variant!r}; choose from "
-                          + ", ".join(VARIANTS))
     return out
 
 

@@ -83,11 +83,17 @@ def load_ppm(path):
             raise DataError(f"{path}: truncated PPM header at offset {pos}")
         fields.append(blob[start:pos])
     pos += 1  # single whitespace after maxval
-    magic, w, h, maxval = fields[0], int(fields[1]), int(fields[2]), \
-        int(fields[3])
+    magic = fields[0]
     channels = {b"P5": 1, b"P6": 3}.get(magic)
     if channels is None:
         raise DataError(f"{path}: unsupported PPM magic {magic!r}")
+    if not all(f.isdigit() for f in fields[1:]):
+        raise DataError(f"{path}: PPM width, height and maxval must be "
+                        f"integers, got {b' '.join(fields[1:])!r}")
+    w, h, maxval = (int(f) for f in fields[1:])
+    if min(w, h, maxval) < 1 or maxval > 255:
+        raise DataError(f"{path}: unsupported PPM geometry {w}x{h} or "
+                        f"maxval {maxval} (8-bit samples, maxval 1..255)")
     need = w * h * channels
     raw = blob[pos:pos + need]
     if len(raw) != need:

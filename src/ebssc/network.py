@@ -41,13 +41,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor
-from .coder import ClassBiasParams, class_thresholds
 from .errors import DataError, ShapeError
 from .tape import Ops
 
 __all__ = ["BlockSpec", "NetworkSpec", "ForwardResult", "UnrollResult",
-           "build", "block_shapes", "forward", "unrolled_infer",
-           "decode", "decode_class_bias", "decode_residual",
+           "build", "block_shapes", "forward", "coding_segment",
+           "unrolled_infer", "decode", "decode_class_bias", "decode_residual",
            "class_energy_breakdown", "PARAM_INIT_ARM", "PARAM_INIT_OFFSET"]
 
 CONV_KINDS = ("relu", "crelu", "crelu_sn", "ssc", "ebssc")
@@ -217,40 +216,30 @@ class ForwardResult:
     scores: object = None
     class_axis_at: int = -1
 
+    def carries_class_axis(self, j):
+        """Whether block j's outputs (codes, switches) carry the class
+        hypothesis axis, at -4: from the first ebssc block on."""
+        return 0 <= self.class_axis_at <= j
 
-def _class_biases(params, spec, i):
-    b = spec.blocks[i]
-    wp = params[f"block{i}.w_plus"]
-    wm = params[f"block{i}.w_minus"]
-    off = params[f"block{i}.offset"]
-    if b.kind == "ssc":
-        wp, wm = wp[None], wm[None]
-    return ClassBiasParams(w_hat_plus=wp, w_hat_minus=wm, offset=off)
+    def hypothesis(self, y, j, t):
+        """Class hypothesis y of block j's output t (a code or pool
+        switches): the slice at -4 if block j carries the class axis."""
+        return t[..., y, :, :, :] if self.carries_class_axis(j) else t
 
 
-def _threshold_nodes(ops, leaves, spec, i, y):
-    """Broadcastable (beta_plus, beta_minus) for block i: the full class
-    stack when y is None, one class's row otherwise."""
-    b = spec.blocks[i]
+def _threshold_nodes(ops, leaves, i):
+    """(beta_plus, beta_minus) = (w_plus + offset, w_minus - offset) for
+    coding block i, broadcastable against its v.  Per-channel arm widths,
+    (K,) for ssc or (Y, K) for ebssc, gain two trailing singleton axes;
+    spatial arm maps (Y, K, H, W) are used as they are."""
     wp, wm = leaves[f"block{i}.w_plus"], leaves[f"block{i}.w_minus"]
     off = leaves[f"block{i}.offset"]
-    k = b.kernel[0]
-    if b.kind == "ssc":
-        wp = ops.reshape(wp, (k, 1, 1))
-        wm = ops.reshape(wm, (k, 1, 1))
-        offr = ops.reshape(off, (k, 1, 1))
-        return ops.add(wp, offr), ops.sub(wm, offr)
-    ncls = spec.num_classes
-    maps = np.shape(ops.value(wp))[2:]
-    shape = (ncls, k) + (maps if maps else (1, 1))
-    if y is None:
-        wp = ops.reshape(wp, shape)
-        wm = ops.reshape(wm, shape)
-        offr = ops.reshape(off, (1, k, 1, 1))
-        return ops.add(wp, offr), ops.sub(wm, offr)
-    pair = class_thresholds(_class_biases(
-        {k2: ops.value(v) for k2, v in leaves.items()}, spec, i), y)
-    return ops.leaf(pair.beta_plus), ops.leaf(pair.beta_minus)
+    arms = np.shape(ops.value(wp))
+    if len(arms) <= 2:
+        wp = ops.reshape(wp, arms + (1, 1))
+        wm = ops.reshape(wm, arms + (1, 1))
+    off = ops.reshape(off, np.shape(ops.value(off)) + (1, 1))
+    return ops.add(wp, off), ops.sub(wm, off)
 
 
 def _dropout_mask(rng, t_value, rate, class_axis):
@@ -274,11 +263,14 @@ def _score_term(ops, v, bp, bm, z):
     return ops.add(ops.sub(drive, pos), neg)
 
 
-def forward(params, spec, x, y=None, mode="eval", ops=None, rng=None,
-            leaves=None):
-    """Run the network. With the energy classifier and y=None, the class
-    hypothesis axis is vectorized: activations from the first ebssc block
-    on gain a leading class dimension and scores cover every class.
+def forward(params, spec, x, mode="eval", ops=None, rng=None, leaves=None):
+    """Run the network.  With the energy classifier the class hypothesis
+    axis is vectorized: activations from the first ebssc block on gain a
+    class dimension at -4, and scores cover every class.  One hypothesis
+    y is the slice ``[..., y, :, :, :]`` of those activations and column
+    y of the scores.  A hypothesis whose pre-projection code z~ is all
+    zero at an energy block has a zero code there, and that block adds 0
+    to its score.
 
     Raises ShapeError when x's trailing (C, H, W) is not the spec's input
     shape, and DataError when x holds a non-finite value."""
@@ -300,7 +292,6 @@ def forward(params, spec, x, y=None, mode="eval", ops=None, rng=None,
     res = ForwardResult(outputs=[], codes={}, pre_projections={},
                         switches={})
     score_terms = []
-    class_axis = False
 
     for i, b in enumerate(spec.blocks):
         if (mode == "train" and b.kind in CONV_KINDS
@@ -308,7 +299,7 @@ def forward(params, spec, x, y=None, mode="eval", ops=None, rng=None,
             if rng is None:
                 raise ValueError("train-mode dropout needs an rng")
             mask = _dropout_mask(rng, ops.value(t), b.dropout_rate,
-                                 class_axis)
+                                 res.carries_class_axis(i - 1))
             t = ops.dropout(t, mask)
 
         if b.kind in POOL_KINDS:
@@ -328,11 +319,10 @@ def forward(params, spec, x, y=None, mode="eval", ops=None, rng=None,
             t = ops.split(v)
         else:
             v = ops.correlate(t, leaves[f"block{i}.bank"], b.pad)
-            if b.kind == "ebssc" and y is None and not class_axis:
+            if b.kind == "ebssc" and res.class_axis_at < 0:
                 v = _insert_class_axis(ops, v)
-                class_axis = True
                 res.class_axis_at = i
-            bp, bm = _threshold_nodes(ops, leaves, spec, i, y)
+            bp, bm = _threshold_nodes(ops, leaves, i)
             zt = ops.branch_code(v, bp, bm)
             z = ops.normalize(zt)
             res.correlations[i] = v
@@ -349,14 +339,15 @@ def forward(params, spec, x, y=None, mode="eval", ops=None, rng=None,
         shape = np.shape(ops.value(feat))
         flat = ops.reshape(feat, shape[:-3] + (-1,))
         res.scores = ops.linear(flat, leaves["classifier.w"])
-    elif y is None:
+    else:
         res.scores = ops.add_n(score_terms)
     return res
 
 
-def _coding_segment(spec):
+def coding_segment(spec):
     """Indices of the trailing run of ssc/ebssc blocks (pools allowed
-    in between) that unrolling treats as one joint objective."""
+    in between) that unrolling treats as one joint objective.  Raises
+    ValueError when that run holds fewer than two coding blocks."""
     start = len(spec.blocks)
     for i in reversed(range(len(spec.blocks))):
         kind = spec.blocks[i].kind
@@ -400,8 +391,8 @@ def _segment_energy(ops, states):
                    if st["spec"].kind == "ebssc"]
 
 
-def unrolled_infer(params, spec, x, T, y=None, mode="eval", ops=None,
-                   rng=None, leaves=None):
+def unrolled_infer(params, spec, x, T, mode="eval", ops=None, rng=None,
+                   leaves=None):
     """T sweeps of block-coordinate ascent over the trailing coding
     blocks.  T=0 reproduces forward() exactly; each sweep updates codes
     top-down with reconstruction feedback, then bottom-up refreshing each
@@ -415,12 +406,12 @@ def unrolled_infer(params, spec, x, T, y=None, mode="eval", ops=None,
         ops = Ops()
     if leaves is None:
         leaves = {name: ops.leaf(p) for name, p in params.items()}
-    segment = _coding_segment(spec)
+    segment = coding_segment(spec)
     if mode == "train" and any(spec.blocks[i].dropout_rate > 0
                                for i in segment):
         raise ValueError("train-mode unrolling does not support dropout "
                          "in the coding segment")
-    fwd = forward(params, spec, x, y=y, mode=mode, ops=ops, rng=rng,
+    fwd = forward(params, spec, x, mode=mode, ops=ops, rng=rng,
                   leaves=leaves)
 
     # Start from forward's per-block state; freeze the pool path between.
@@ -484,8 +475,7 @@ def unrolled_infer(params, spec, x, T, y=None, mode="eval", ops=None,
         total, energy_terms = _segment_energy(ops, states)
         trace.append(np.asarray(ops.value(total), dtype=np.float64))
 
-    scores = (ops.add_n(energy_terms) if y is None and energy_terms
-              else None)
+    scores = ops.add_n(energy_terms) if energy_terms else None
     codes = {st["block"]: st["z"] for st in states}
     return UnrollResult(codes=codes, scores=scores, energy_trace=trace,
                         forward_result=fwd)
@@ -543,11 +533,13 @@ def decode_class_bias(params, spec, y, at_block, switches):
 
 def decode_residual(params, spec, x, y, at_block):
     """Decode block ``at_block``'s codes under hypothesis y, minus the
-    decoded class-bias contribution."""
-    fwd = forward(params, spec, x, y=y)
-    code = fwd.codes[at_block]
-    img = decode(params, spec, code, at_block, fwd.switches)
-    bias_img = decode_class_bias(params, spec, y, at_block, fwd.switches)
+    decoded class-bias contribution.  Hypothesis y is sliced from the
+    vectorized pass."""
+    fwd = forward(params, spec, x)
+    code = fwd.hypothesis(y, at_block, fwd.codes[at_block])
+    switches = {j: fwd.hypothesis(y, j, sw) for j, sw in fwd.switches.items()}
+    img = decode(params, spec, code, at_block, switches)
+    bias_img = decode_class_bias(params, spec, y, at_block, switches)
     return img - bias_img
 
 
@@ -569,8 +561,9 @@ def class_energy_breakdown(params, spec, x):
         v = fwd.correlations[i]
         z = fwd.codes[i].astype(np.float64)
         zp, zm = np.maximum(z, 0.0), np.minimum(z, 0.0)
-        cb = _class_biases(params, spec, i)
-        wp, wm, off = cb.w_hat_plus, cb.w_hat_minus, cb.offset
+        wp = params[f"block{i}.w_plus"]
+        wm = params[f"block{i}.w_minus"]
+        off = params[f"block{i}.offset"]
         if wp.ndim == 2:
             wp, wm = wp[..., None, None], wm[..., None, None]
         sums = (-3, -2, -1)

@@ -6,9 +6,11 @@ Exit codes: 0 success, 1 usage, 2 unreadable data, 3 failed checks.
 import numpy as np
 import pytest
 
-from ebssc.checkpoint import load_checkpoint, read_tensor_file
+from ebssc.checkpoint import Checkpoint, load_checkpoint, \
+    read_tensor_file, save_checkpoint
 from ebssc.cli import main
 from ebssc.imaging import load_ppm
+from ebssc.network import BlockSpec, NetworkSpec, build
 
 
 CONFIG = """\
@@ -71,6 +73,16 @@ class TestTrain:
                    str(digits_dir), "--out", str(tmp_path)])
         assert rc == 1
 
+    def test_rejected_config_value_is_a_usage_error(self, tmp_path,
+                                                    digits_dir, capsys):
+        """A value TrainConfig refuses exits 1 before any data loads."""
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("batch_size = 0\n")
+        rc = main(["train", "--config", str(cfg), "--data",
+                   str(tmp_path / "no-data"), "--out", str(tmp_path)])
+        assert rc == 1
+        assert "batch_size" in capsys.readouterr().err
+
 
 class TestEval:
     """The eval subcommand."""
@@ -85,6 +97,28 @@ class TestEval:
                       .splitlines())
         assert 0.0 <= float(fields["test_error"]) <= 1.0
         assert float(fields["test_loss"]) > 0.0
+
+    @pytest.mark.parametrize("depth", ["5", "-1"])
+    def test_unroll_depth_out_of_range_is_usage_error(self, trained,
+                                                      digits_dir, depth):
+        """--unroll outside 0..4 exits 1."""
+        rc = main(["eval", "--ckpt", str(trained), "--data",
+                   str(digits_dir), "--unroll", depth])
+        assert rc == 1
+
+    def test_unroll_without_coding_segment_is_usage_error(
+            self, tmp_path, digits_dir, capsys):
+        """A model without two trailing coding blocks cannot unroll."""
+        spec = NetworkSpec(blocks=(BlockSpec("relu", (2, 1, 5, 5)),),
+                           classifier=("linear", 0), num_classes=10,
+                           input_shape=(1, 28, 28))
+        ckpt = tmp_path / "linear.ckpt"
+        save_checkpoint(str(ckpt), Checkpoint(spec=spec,
+                                              params=build(spec, seed=0)))
+        rc = main(["eval", "--ckpt", str(ckpt), "--data", str(digits_dir),
+                   "--unroll", "1"])
+        assert rc == 1
+        assert "coding blocks" in capsys.readouterr().err
 
     def test_missing_checkpoint_exits_two(self, tmp_path, digits_dir):
         """A nonexistent checkpoint is a data error."""
@@ -162,6 +196,29 @@ class TestDecode:
         assert rc == 0
         img = load_ppm(str(out))
         assert img.shape == (3, 28 + 4, 10 * 28 + 11 * 2)
+
+    @pytest.mark.parametrize("mode,tiles", [("recon", 1), ("bias", 10),
+                                            ("residual", 10)])
+    def test_pool_above_the_class_axis(self, digits_dir, tmp_path, mode,
+                                       tiles):
+        """A pool between two ebssc blocks keeps switches per hypothesis;
+        every mode decodes through one hypothesis's switches."""
+        blocks = (BlockSpec("ebssc", (2, 1, 5, 5), pad=2, beta=0.05),
+                  BlockSpec("maxpool", (2,), stride=2),
+                  BlockSpec("ebssc", (3, 4, 3, 3), pad=1, beta=0.05))
+        spec = NetworkSpec(blocks=blocks, classifier=("energy", 0),
+                           num_classes=10, input_shape=(1, 28, 28))
+        ckpt = tmp_path / "pooled.ckpt"
+        save_checkpoint(str(ckpt), Checkpoint(spec=spec,
+                                              params=build(spec, seed=0)))
+        out = tmp_path / f"{mode}.ppm"
+        rc = main(["decode", "--ckpt", str(ckpt),
+                   "--image",
+                   str(digits_dir / "t10k-images-idx3-ubyte"),
+                   "--layer", "2", "--mode", mode, "--out", str(out)])
+        assert rc == 0
+        img = load_ppm(str(out))
+        assert img.shape == (3, 28 + 4, tiles * 28 + (tiles + 1) * 2)
 
     def test_pool_layer_is_usage_error(self, trained, digits_dir,
                                        tmp_path):

@@ -58,6 +58,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="dataset"):
             parse_config("dataset = imagenet")
 
+    @pytest.mark.parametrize("text", [
+        "learning_rate = 0", "adam_eps = -1e-8", "alpha = -0.5",
+        "batch_size = 0", "epochs = -1", "unroll_T = 9",
+        "variant = ssc_ebc67\ndropout = 1.5"])
+    def test_values_the_model_rejects_are_config_errors(self, text):
+        """Values TrainConfig or the network spec would refuse fail at
+        parse time, not after the data is loaded."""
+        with pytest.raises(ConfigError):
+            parse_config(text)
+
     def test_train_config_view(self):
         """Optimizer fields copy over to the TrainConfig."""
         cfg = parse_config("learning_rate = 0.002\nunroll_T = 2\n"

@@ -119,6 +119,17 @@ class TestPpmIo:
         with pytest.raises(DataError):
             load_ppm(str(p))
 
+    @pytest.mark.parametrize("header", [
+        b"P6\nwide 2\n255\n", b"P6\n2 2\n65535\n", b"P6\n2 2\n0\n",
+        b"P5\n0 2\n255\n"])
+    def test_unreadable_header_fields(self, tmp_path, header):
+        """Non-integer or zero sizes and maxvals outside 1..255 (16-bit
+        samples, or a NaN image at 0) are data errors."""
+        p = tmp_path / "img.ppm"
+        p.write_bytes(header + bytes(24))
+        with pytest.raises(DataError):
+            load_ppm(str(p))
+
     def test_truncated_pixels(self, tmp_path):
         """Missing payload bytes report the shortfall."""
         p = tmp_path / "img.ppm"

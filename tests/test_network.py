@@ -189,17 +189,6 @@ class TestForwardEnergy:
         assert res.codes[0].shape == (2, 4, 8, 8)
         assert res.codes[2].shape == (2, 3, 5, 4, 4)
 
-    def test_hypothesis_slice_matches_conditional_forward(self):
-        """Running with y fixed equals slicing the vectorized run."""
-        spec = _toy_energy_spec()
-        params = _generic_params(spec)
-        x = np.random.default_rng(42).standard_normal((2, 1, 8, 8))
-        full = forward(params, spec, x)
-        for y in range(3):
-            cond = forward(params, spec, x, y=y)
-            np.testing.assert_allclose(cond.codes[2], full.codes[2][:, y],
-                                       atol=1e-12)
-
     def test_scores_equal_energy_breakdown_total(self):
         """forward scores decompose into code + class energy terms."""
         spec = _toy_energy_spec()
@@ -318,8 +307,8 @@ class TestDecode:
         spec = _toy_energy_spec()
         params = _generic_params(spec)
         x = np.random.default_rng(42).standard_normal((1, 1, 8, 8))
-        res = forward(params, spec, x, y=0)
-        img = decode(params, spec, res.codes[2], 2, res.switches)
+        res = forward(params, spec, x)
+        img = decode(params, spec, res.codes[2][:, 0], 2, res.switches)
         assert img.shape == (1, 1, 8, 8)
         assert np.isfinite(img).all()
 
@@ -328,9 +317,10 @@ class TestDecode:
         spec = _toy_energy_spec()
         params = _generic_params(spec)
         x = np.random.default_rng(42).standard_normal((1, 1, 8, 8))
-        res = forward(params, spec, x, y=1)
-        a = decode(params, spec, res.codes[2], 2, res.switches)
-        b = decode(params, spec, 2.0 * res.codes[2], 2, res.switches)
+        res = forward(params, spec, x)
+        code = res.codes[2][:, 1]
+        a = decode(params, spec, code, 2, res.switches)
+        b = decode(params, spec, 2.0 * code, 2, res.switches)
         np.testing.assert_allclose(b, 2.0 * a, atol=1e-10)
 
     def test_decode_from_pool_block_rejected(self):
@@ -345,7 +335,7 @@ class TestDecode:
         spec = _toy_energy_spec()
         params = _generic_params(spec)
         x = np.random.default_rng(42).standard_normal((1, 1, 8, 8))
-        res = forward(params, spec, x, y=0)
+        res = forward(params, spec, x)
         for y in range(3):
             img = decode_class_bias(params, spec, y, 2, res.switches)
             assert img.shape[-3:] == (1, 8, 8)
@@ -362,10 +352,30 @@ class TestDecode:
         spec = _toy_energy_spec()
         params = _generic_params(spec)
         x = np.random.default_rng(42).standard_normal((1, 1, 8, 8))
-        res = forward(params, spec, x, y=2)
-        total = decode(params, spec, res.codes[2], 2, res.switches)
+        res = forward(params, spec, x)
+        total = decode(params, spec, res.codes[2][:, 2], 2, res.switches)
         bias = decode_class_bias(params, spec, 2, 2, res.switches)
         residual = decode_residual(params, spec, x, 2, 2)
         np.testing.assert_allclose(np.asarray(total),
                                    np.asarray(residual)
                                    + np.asarray(bias), atol=1e-10)
+
+    def test_residual_takes_each_hypothesis_own_pool_switches(self):
+        """A pool above the first ebssc block pools every hypothesis
+        separately; the residual of y decodes through y's switches."""
+        blocks = (BlockSpec("ebssc", (2, 1, 3, 3), pad=1, beta=0.15),
+                  BlockSpec("maxpool", (2,), stride=2, pad=0),
+                  BlockSpec("ebssc", (3, 4, 3, 3), pad=1, beta=0.15))
+        spec = NetworkSpec(blocks=blocks, classifier=("energy", 0),
+                           num_classes=3, input_shape=(1, 8, 8))
+        params = _generic_params(spec)
+        x = np.random.default_rng(42).standard_normal((2, 1, 8, 8))
+        res = forward(params, spec, x)
+        assert res.switches[1].shape[:2] == (2, 3)
+        for y in range(3):
+            switches = {1: res.switches[1][:, y]}
+            total = decode(params, spec, res.codes[2][:, y], 2, switches)
+            bias = decode_class_bias(params, spec, y, 2, switches)
+            np.testing.assert_allclose(
+                decode_residual(params, spec, x, y, 2), total - bias,
+                atol=1e-12)

@@ -13,12 +13,14 @@ import reference
 class TestCrossCorrelate:
     """Bank correlation against the quadruple-loop reference."""
 
+    @pytest.mark.parametrize("kernel", [(3, 3), (3, 2)])
     @pytest.mark.parametrize("pad", [0, 1, 2])
-    def test_matches_loops(self, pad):
-        """GEMM path equals loops for several paddings."""
+    def test_matches_loops(self, pad, kernel):
+        """GEMM path equals loops for several paddings, also for a
+        non-square kernel."""
         rng = np.random.default_rng(42)
         x = rng.standard_normal((3, 7, 8))
-        bank = rng.standard_normal((4, 3, 3, 3))
+        bank = rng.standard_normal((4, 3) + kernel)
         got = tensor.cross_correlate(x, bank, pad)
         np.testing.assert_allclose(got,
                                    reference.correlate_loops(x, bank, pad),
@@ -56,12 +58,14 @@ class TestCrossCorrelate:
 class TestReconstruct:
     """Transposed correlation against the scatter reference."""
 
+    @pytest.mark.parametrize("kernel", [(3, 3), (3, 2)])
     @pytest.mark.parametrize("pad", [0, 1, 2])
-    def test_matches_loops(self, pad):
-        """Scatter of filters equals the loop reference."""
+    def test_matches_loops(self, pad, kernel):
+        """Scatter of filters equals the loop reference, also for a
+        non-square kernel."""
         rng = np.random.default_rng(42)
         z = rng.standard_normal((4, 6, 5))
-        bank = rng.standard_normal((4, 2, 3, 3))
+        bank = rng.standard_normal((4, 2) + kernel)
         got = tensor.reconstruct(z, bank, pad)
         np.testing.assert_allclose(
             got, reference.reconstruct_loops(z, bank, pad), atol=1e-12)
@@ -90,14 +94,17 @@ class TestReconstruct:
 class TestCorrelateBankGrad:
     """Gradient of correlation with respect to the filter bank."""
 
-    def test_matches_finite_differences(self):
-        """d<correlate(x; B), U>/dB via the dedicated kernel."""
+    @pytest.mark.parametrize("kernel", [(3, 3), (3, 2)])
+    def test_matches_finite_differences(self, kernel):
+        """d<correlate(x; B), U>/dB via the dedicated kernel, also for a
+        non-square kernel."""
+        kh, kw = kernel
         rng = np.random.default_rng(42)
         x = rng.standard_normal((2, 6, 6))
-        bank = rng.standard_normal((3, 2, 3, 3))
-        up = rng.standard_normal((3, 6, 6))
+        bank = rng.standard_normal((3, 2) + kernel)
+        up = rng.standard_normal((3, 8 - kh + 1, 8 - kw + 1))
 
-        got = tensor.correlate_bank_grad(x, up, (3, 3), pad=1)
+        got = tensor.correlate_bank_grad(x, up, kernel, pad=1)
         eps = 1e-6
         want = np.zeros_like(bank)
         it = np.nditer(bank, flags=["multi_index"])
