@@ -13,11 +13,8 @@ import reference
 class TestCrossCorrelate:
     """Bank correlation against the quadruple-loop reference."""
 
-    @pytest.mark.parametrize("kernel", [(3, 3), (3, 2)])
-    @pytest.mark.parametrize("pad", [0, 1, 2])
-    def test_matches_loops(self, pad, kernel):
-        """GEMM path equals loops for several paddings, also for a
-        non-square kernel."""
+    @staticmethod
+    def _check_loops(pad, kernel):
         rng = np.random.default_rng(42)
         x = rng.standard_normal((3, 7, 8))
         bank = rng.standard_normal((4, 3) + kernel)
@@ -25,6 +22,16 @@ class TestCrossCorrelate:
         np.testing.assert_allclose(got,
                                    reference.correlate_loops(x, bank, pad),
                                    atol=1e-12)
+
+    @pytest.mark.parametrize("pad", [0, 1, 2])
+    def test_matches_loops(self, pad):
+        """GEMM path equals loops for several paddings."""
+        self._check_loops(pad, (3, 3))
+
+    @pytest.mark.parametrize("pad", [0, 1, 2])
+    def test_non_square_kernel_matches_loops(self, pad):
+        """A 3x2 kernel also equals the loops."""
+        self._check_loops(pad, (3, 2))
 
     def test_batched_leading_axes(self):
         """Leading batch axes map each sample independently."""
@@ -58,17 +65,24 @@ class TestCrossCorrelate:
 class TestReconstruct:
     """Transposed correlation against the scatter reference."""
 
-    @pytest.mark.parametrize("kernel", [(3, 3), (3, 2)])
-    @pytest.mark.parametrize("pad", [0, 1, 2])
-    def test_matches_loops(self, pad, kernel):
-        """Scatter of filters equals the loop reference, also for a
-        non-square kernel."""
+    @staticmethod
+    def _check_loops(pad, kernel):
         rng = np.random.default_rng(42)
         z = rng.standard_normal((4, 6, 5))
         bank = rng.standard_normal((4, 2) + kernel)
         got = tensor.reconstruct(z, bank, pad)
         np.testing.assert_allclose(
             got, reference.reconstruct_loops(z, bank, pad), atol=1e-12)
+
+    @pytest.mark.parametrize("pad", [0, 1, 2])
+    def test_matches_loops(self, pad):
+        """Scatter of filters equals the loop reference."""
+        self._check_loops(pad, (3, 3))
+
+    @pytest.mark.parametrize("pad", [0, 1, 2])
+    def test_non_square_kernel_matches_loops(self, pad):
+        """A 3x2 kernel also equals the loop reference."""
+        self._check_loops(pad, (3, 2))
 
     def test_adjoint_of_correlation(self):
         """<correlate(x), z> == <x, reconstruct(z)> to float64 precision."""
@@ -94,10 +108,8 @@ class TestReconstruct:
 class TestCorrelateBankGrad:
     """Gradient of correlation with respect to the filter bank."""
 
-    @pytest.mark.parametrize("kernel", [(3, 3), (3, 2)])
-    def test_matches_finite_differences(self, kernel):
-        """d<correlate(x; B), U>/dB via the dedicated kernel, also for a
-        non-square kernel."""
+    @staticmethod
+    def _check_finite_differences(kernel):
         kh, kw = kernel
         rng = np.random.default_rng(42)
         x = rng.standard_normal((2, 6, 6))
@@ -117,6 +129,14 @@ class TestCorrelateBankGrad:
             lo = tensor.inner(tensor.cross_correlate(x, b2, 1), up)
             want[idx] = (hi - lo) / (2 * eps)
         np.testing.assert_allclose(got, want, atol=1e-8)
+
+    def test_matches_finite_differences(self):
+        """d<correlate(x; B), U>/dB via the dedicated kernel."""
+        self._check_finite_differences((3, 3))
+
+    def test_non_square_kernel(self):
+        """The same holds for a 3x2 kernel."""
+        self._check_finite_differences((3, 2))
 
 
 class TestMaxPool:
