@@ -119,8 +119,8 @@ def code_from_correlation(v, thresholds, c_plus=None, c_minus=None):
     """Solve the coding problem given the correlation tensor directly."""
     thresholds.require_proper()
     v = np.asarray(v)
-    z_tilde, _, _ = branch_code(v, thresholds.beta_plus,
-                                thresholds.beta_minus, c_plus, c_minus)
+    z_tilde = branch_code(v, thresholds.beta_plus, thresholds.beta_minus,
+                          c_plus, c_minus)
     norm = tensor.l2_norm(z_tilde)
     if norm > 0:
         code = (z_tilde / norm).astype(v.dtype, copy=False)

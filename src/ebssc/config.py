@@ -98,6 +98,9 @@ def parse_config(text):
     if out.dataset not in ("digits", "cifar10"):
         raise ConfigError(f"dataset must be digits or cifar10, "
                           f"got {out.dataset!r}")
+    if out.subset < 0:
+        raise ConfigError(f"subset must be 0 (all images) or a positive "
+                          f"count, got {out.subset}")
     return out
 
 

@@ -8,14 +8,19 @@ A network is an ordered list of blocks — rectifier baselines (``relu``,
                          linear map onto class scores;
 * ``("energy", from)`` — blocks from index ``from`` on are class-
                          conditional coders, and the score of class y is
-                         the summed coding energy <v, z> - P_y(z) of those
-                         blocks under hypothesis y.
+                         the summed optimal coding energy
+                         max <v, z> - P_y(z) over the unit ball of those
+                         blocks under hypothesis y.  That optimum is
+                         ||z_tilde||_2, so a block scores the norm its
+                         projection computes.
 
 Every coding block emits split codes (positive and negative parts as
 separate channels), so coding and crelu-family blocks double the channel
 count seen by the next block.  Forward passes are written against the op
 surface in ``tape``: pass ``Ops(tape)`` to record gradients, or nothing
-for plain evaluation.
+for plain evaluation.  ``forward`` shrinks with the one-arm closed form,
+which needs proper thresholds (-beta_minus <= beta_plus), so it refuses
+parameters that violate that.
 
 ``unrolled_infer`` turns the feed-forward pass into block-coordinate
 ascent on the joint coding objective of the trailing coding blocks: each
@@ -23,7 +28,8 @@ sweep re-solves every block's code in closed form, with the linear term
 augmented by the reconstruction fed back from the block above.  Pooling
 decisions are frozen to the initial forward pass's switches, so every
 update is an exact coordinate maximization and the joint energy can only
-go up.
+go up.  The trace evaluates that energy explicitly, as
+<v, z> - beta_plus.z+ + beta_minus.z-, at every sweep.
 
 ``forward`` owns each coding block's state.  It records the block's
 correlation v and the thresholds (beta_plus, beta_minus) it coded with,
@@ -41,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor
-from .errors import DataError, ShapeError
+from .errors import DataError, ImproperThresholdError, ShapeError
 from .tape import Ops
 
 __all__ = ["BlockSpec", "NetworkSpec", "ForwardResult", "UnrollResult",
@@ -62,7 +68,7 @@ PARAM_INIT_OFFSET = 0.05
 class BlockSpec:
     """One block. Conv kinds use kernel=(K, C, kh, kw); maxpool uses
     kernel=(window,) with stride/pad giving the pool geometry.  ``beta``
-    sets the initial threshold level of coding blocks; ``bias_maps``
+    (>= 0) sets the initial threshold level of coding blocks; ``bias_maps``
     switches an ebssc block's class arm widths from per-channel scalars
     to full spatial maps."""
 
@@ -90,6 +96,9 @@ class BlockSpec:
                     f"pool kernel must be (window,), got {self.kernel}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must lie in [0, 1)")
+        if not self.beta >= 0.0:
+            raise ValueError("beta must be non-negative: ssc blocks start "
+                             "with both arm widths at beta")
 
     @property
     def out_channels(self):
@@ -200,17 +209,16 @@ def build(spec, seed, dtype=np.float32):
 
 @dataclass
 class ForwardResult:
-    """Per-block outputs plus everything decoding, training, unrolling and
-    the energy breakdown reuse.  For each coding block i, ``correlations[i]``
-    is its v (class axis included from ``class_axis_at`` on, dropout mask
-    applied in train mode) and ``thresholds[i]`` its (beta_plus,
-    beta_minus); both are arrays under ``Ops()`` and tape nodes under
-    ``Ops(tape)``."""
+    """Scores plus the per-block state that decoding, training, unrolling
+    and the energy breakdown reuse.  For each coding block i,
+    ``codes[i]`` is its code z, ``correlations[i]`` its v (class axis
+    included from ``class_axis_at`` on, dropout mask applied in train
+    mode) and ``thresholds[i]`` its (beta_plus, beta_minus); all are
+    arrays under ``Ops()`` and tape nodes under ``Ops(tape)``.
+    ``switches[j]`` holds pool block j's argmax switches."""
 
-    outputs: list
-    codes: dict
-    pre_projections: dict
-    switches: dict
+    codes: dict = field(default_factory=dict)
+    switches: dict = field(default_factory=dict)
     correlations: dict = field(default_factory=dict)
     thresholds: dict = field(default_factory=dict)
     scores: object = None
@@ -256,7 +264,8 @@ def _insert_class_axis(ops, t):
 
 
 def _score_term(ops, v, bp, bm, z):
-    """<v, z> - beta_plus' z+ + beta_minus' z-  (the block's energy)."""
+    """<v, z> - beta_plus' z+ + beta_minus' z-: the block's energy at any
+    code z, evaluated explicitly."""
     drive = ops.sum_spatial(ops.mul(v, z))
     pos = ops.sum_spatial(ops.mul(bp, ops.relu(z)))
     neg = ops.sum_spatial(ops.mul(bm, ops.negpart(z)))
@@ -268,12 +277,16 @@ def forward(params, spec, x, mode="eval", ops=None, rng=None, leaves=None):
     axis is vectorized: activations from the first ebssc block on gain a
     class dimension at -4, and scores cover every class.  One hypothesis
     y is the slice ``[..., y, :, :, :]`` of those activations and column
-    y of the scores.  A hypothesis whose pre-projection code z~ is all
-    zero at an energy block has a zero code there, and that block adds 0
-    to its score.
+    y of the scores.  Each energy block adds its optimal coding energy
+    ||z~||_2 to the score, where z~ is the pre-projection code, so a
+    hypothesis whose z~ is all zero at a block has a zero code there and
+    that block adds 0.
 
     Raises ShapeError when x's trailing (C, H, W) is not the spec's input
-    shape, and DataError when x holds a non-finite value."""
+    shape, DataError when x holds a non-finite value, and
+    ImproperThresholdError when a coding block's thresholds have
+    -beta_minus > beta_plus anywhere: the closed-form shrink is exact only
+    for proper pairs."""
     x = np.asarray(x)
     if x.shape[-3:] != tuple(spec.input_shape):
         raise ShapeError("input does not match the network",
@@ -289,9 +302,9 @@ def forward(params, spec, x, mode="eval", ops=None, rng=None, leaves=None):
     head, head_idx = spec.classifier
 
     t = ops.leaf(x)
-    res = ForwardResult(outputs=[], codes={}, pre_projections={},
-                        switches={})
+    res = ForwardResult()
     score_terms = []
+    last = len(spec.blocks) - 1
 
     for i, b in enumerate(spec.blocks):
         if (mode == "train" and b.kind in CONV_KINDS
@@ -315,7 +328,7 @@ def forward(params, spec, x, mode="eval", ops=None, rng=None, leaves=None):
             v = ops.add(v, ops.reshape(leaves[f"block{i}.bias"],
                                        (b.kernel[0], 1, 1)))
             if b.kind == "crelu_sn":
-                v = ops.normalize(v)
+                v = ops.normalize(v)[0]
             t = ops.split(v)
         else:
             v = ops.correlate(t, leaves[f"block{i}.bank"], b.pad)
@@ -323,19 +336,22 @@ def forward(params, spec, x, mode="eval", ops=None, rng=None, leaves=None):
                 v = _insert_class_axis(ops, v)
                 res.class_axis_at = i
             bp, bm = _threshold_nodes(ops, leaves, i)
-            zt = ops.branch_code(v, bp, bm)
-            z = ops.normalize(zt)
+            if np.any(-ops.value(bm) > ops.value(bp)):
+                raise ImproperThresholdError(
+                    f"block {i} thresholds violate -beta_minus <= beta_plus")
+            z, norm = ops.normalize(ops.branch_code(v, bp, bm))
             res.correlations[i] = v
             res.thresholds[i] = (bp, bm)
-            res.pre_projections[i] = zt
             res.codes[i] = z
             if b.kind == "ebssc":
-                score_terms.append(_score_term(ops, v, bp, bm, z))
-            t = ops.split(z)
-        res.outputs.append(t)
+                score_terms.append(ops.energy(v, bp, bm, z, norm))
+            # Nothing reads the energy head's last output.
+            if head == "linear" or i < last:
+                t = ops.split(z)
+        if head == "linear" and i == head_idx:
+            feat = t
 
     if head == "linear":
-        feat = res.outputs[head_idx]
         shape = np.shape(ops.value(feat))
         flat = ops.reshape(feat, shape[:-3] + (-1,))
         res.scores = ops.linear(flat, leaves["classifier.w"])
@@ -369,7 +385,6 @@ class UnrollResult:
     codes: dict
     scores: object
     energy_trace: list = field(default_factory=list)
-    forward_result: object = None
 
 
 def _segment_energy(ops, states):
@@ -397,9 +412,10 @@ def unrolled_infer(params, spec, x, T, mode="eval", ops=None, rng=None,
     blocks.  T=0 reproduces forward() exactly; each sweep updates codes
     top-down with reconstruction feedback, then bottom-up refreshing each
     block's linear term from the codes below.  The reported energy trace
-    is the joint segment energy after the initial pass and each sweep, and
-    the scores are the ebssc terms of the last one.  Train mode refuses a
-    coding segment with dropout (see the module docstring)."""
+    is the joint segment energy after the initial pass and each sweep,
+    evaluated explicitly every time; the scores are the ebssc terms of the
+    last sweep, or forward()'s closed-form scores when T=0.  Train mode
+    refuses a coding segment with dropout (see the module docstring)."""
     if not 0 <= T <= 4:
         raise ValueError(f"unroll depth must be in 0..4, got {T}")
     if ops is None:
@@ -439,7 +455,7 @@ def unrolled_infer(params, spec, x, T, mode="eval", ops=None, rng=None,
                 # later use broadcasts per class hypothesis.
                 st["v"] = _insert_class_axis(ops, st["v"])
             zt = ops.branch_code(st["v"], st["bp"], st["bm"], cp, cm)
-        st["z"] = ops.normalize(zt)
+        st["z"] = ops.normalize(zt)[0]
 
     def feedback_into(pos):
         """Split-space bonus terms for block `pos` from the block above."""
@@ -475,10 +491,12 @@ def unrolled_infer(params, spec, x, T, mode="eval", ops=None, rng=None,
         total, energy_terms = _segment_energy(ops, states)
         trace.append(np.asarray(ops.value(total), dtype=np.float64))
 
-    scores = ops.add_n(energy_terms) if energy_terms else None
+    if T == 0:
+        scores = fwd.scores
+    else:
+        scores = ops.add_n(energy_terms) if energy_terms else None
     codes = {st["block"]: st["z"] for st in states}
-    return UnrollResult(codes=codes, scores=scores, energy_trace=trace,
-                        forward_result=fwd)
+    return UnrollResult(codes=codes, scores=scores, energy_trace=trace)
 
 
 def _pre_pool_hw(spec, j):

@@ -79,39 +79,43 @@ class ThresholdPair:
 
 
 def branch_code(v, beta_plus, beta_minus, c_plus=None, c_minus=None):
-    """Per-coefficient maximizer of v·z - P(z) + c+·z+ + c-·z- before
-    projection: the one branch rule behind ``shrink``, the coder and the
-    network ops.  Thresholds and bonuses are cast to v's dtype.
+    """Per-coefficient maximizer z_tilde of v·z - P(z) + c+·z+ + c-·z-
+    before projection: the one branch rule behind ``shrink``, the coder
+    and the network ops.  Thresholds and bonuses are cast to v's dtype.
 
-    Returns (z_tilde, pos_mask, neg_mask); the masks flag strictly active
-    coefficients (exact subgradients away from kinks).  NaN entries of v
-    propagate into z_tilde and are flagged in neither mask.
+    Without bonuses and with a proper pair at most one arm is active, so
+    z_tilde = max(v - beta_plus, 0) + min(v + beta_minus, 0) with no arm
+    choice; callers check properness (an improper pair would sum both
+    arms).  Bonuses can make both arms active, and then the larger one
+    wins.  Either way sign(z_tilde) flags the active arm, which is all a
+    subgradient needs.  NaN entries of v propagate into z_tilde.
     """
     v = np.asarray(v)
-    pos_drive = v - np.asarray(beta_plus, dtype=v.dtype)
-    if c_plus is not None:
-        pos_drive = pos_drive + np.asarray(c_plus, dtype=v.dtype)
-    pos_part = np.maximum(pos_drive, 0)
-
+    bp = np.asarray(beta_plus, dtype=v.dtype)
     bm = np.asarray(beta_minus, dtype=v.dtype)
-    finite_neg = np.isfinite(bm)
-    neg_drive = v + np.where(finite_neg, bm, 0)
+    # A disabled negative arm (non-finite beta_minus) is a dead zone that
+    # never ends below, which +inf gives through the min below.
+    bm = np.where(np.isfinite(bm), bm, np.inf).astype(v.dtype, copy=False)
+    pos = v - bp
+    if c_plus is not None:
+        pos = pos + np.asarray(c_plus, dtype=v.dtype)
+    neg = v + bm
     if c_minus is not None:
-        neg_drive = neg_drive + np.asarray(c_minus, dtype=v.dtype)
-    neg_part = np.where(finite_neg, np.minimum(neg_drive, 0), 0)
-
+        neg = neg + np.asarray(c_minus, dtype=v.dtype)
+    pos, neg = np.asarray(pos), np.asarray(neg)
+    np.maximum(pos, 0, out=pos)
+    np.minimum(neg, 0, out=neg)
+    if c_plus is None and c_minus is None:
+        return np.add(pos, neg, out=pos)
     # Ties and NaN take the positive arm, so NaN survives the choice.
-    neg_mask = pos_part < -neg_part
-    z_tilde = np.where(neg_mask, neg_part, pos_part)
-    pos_mask = ~neg_mask & (pos_part > 0)
-    return z_tilde, pos_mask, neg_mask
+    return np.where(pos < -neg, neg, pos)
 
 
 def shrink(v, pair):
     """Apply two-sided shrinkage elementwise. Raises on improper pairs;
     NaN entries of v stay NaN."""
     pair.require_proper()
-    return branch_code(v, pair.beta_plus, pair.beta_minus)[0]
+    return branch_code(v, pair.beta_plus, pair.beta_minus)
 
 
 def shrink_subgradient(v, pair):
@@ -122,8 +126,8 @@ def shrink_subgradient(v, pair):
     """
     pair.require_proper()
     v = np.asarray(v)
-    _, pos, neg = branch_code(v, pair.beta_plus, pair.beta_minus)
-    return (pos | neg).astype(v.dtype)
+    z = branch_code(v, pair.beta_plus, pair.beta_minus)
+    return ((z > 0) | (z < 0)).astype(v.dtype)
 
 
 def crelu_split(v, axis=-3):

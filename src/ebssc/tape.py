@@ -14,11 +14,20 @@ Network code is written once against this surface, and both uses run the
 same forward expressions, so training and evaluation are numerically
 identical by construction.  Gradients follow the forward pass's branch
 decisions: shrinkage masks are {0,1} (zero at kinks and inside the dead
-zone), the unit-sphere projection uses the Jacobian
-(I - z z') / ||z_tilde||, and max-pool routes through recorded argmax
-switches.  A backward rule reads its parents' recorded values; what it
-keeps from record time is the branch and sign masks and the pooling
-switches.  Reductions that feed energies accumulate in float64.
+zone) and are read off the signs of z_tilde, the unit-sphere projection
+uses the Jacobian (I - z z') / ||z_tilde||, and max-pool routes through
+recorded argmax switches.
+
+``energy`` is a coding block's optimal value ||z_tilde||_2, the norm
+``normalize`` already computed.  It records one node whose parents are
+the block's correlation v and thresholds (beta_plus, beta_minus), and by
+the envelope theorem its backward rule is the code itself: z for v, -z+
+for beta_plus and z- for beta_minus, with no path back through the
+shrinkage or the projection.
+
+A backward rule reads its parents' recorded values; what it keeps from
+record time is the rectifiers' sign masks and the pooling switches.
+Reductions that feed energies accumulate in float64.
 """
 
 from __future__ import annotations
@@ -159,32 +168,53 @@ class Ops:
                          (z, bank), bwd)
 
     def branch_code(self, v, bp, bm, cp=None, cm=None):
-        z, pos, neg = shrinkage.branch_code(
-            _val(v), _val(bp), _val(bm), _val(cp), _val(cm))
+        """z_tilde of ``shrinkage.branch_code``; the caller guarantees a
+        proper pair when no bonuses are given."""
+        z = shrinkage.branch_code(_val(v), _val(bp), _val(bm), _val(cp),
+                                  _val(cm))
         parents = (v, bp, bm) + tuple(p for p in (cp, cm) if p is not None)
 
         def bwd(g):
-            active = g * (pos | neg)
-            _acc(v, _unbroadcast(active, v.shape))
-            _acc(bp, _unbroadcast(-(g * pos), bp.shape))
-            _acc(bm, _unbroadcast(g * neg, bm.shape))
+            pos, neg = g * (z > 0), g * (z < 0)
+            _acc(v, _unbroadcast(pos + neg, v.shape))
+            _acc(bp, -_unbroadcast(pos, bp.shape))
+            _acc(bm, _unbroadcast(neg, bm.shape))
             if cp is not None:
-                _acc(cp, _unbroadcast(g * pos, cp.shape))
+                _acc(cp, _unbroadcast(pos, cp.shape))
             if cm is not None:
-                _acc(cm, _unbroadcast(g * neg, cm.shape))
+                _acc(cm, _unbroadcast(neg, cm.shape))
         return self._out(z, parents, bwd)
 
     def normalize(self, t):
+        """Project onto the unit sphere over the trailing (C, H, W) axes.
+        Returns (z, norm): norm is the plain float64 ||t||_2 per leading
+        index, which ``energy`` takes as its value."""
         tv = _val(t)
-        n = np.sqrt(np.sum(np.square(tv, dtype=np.float64),
-                           axis=(-3, -2, -1), keepdims=True))
-        safe = np.where(n > 0, n, 1.0)
-        out = np.where(n > 0, tv / safe, 0.0).astype(tv.dtype, copy=False)
+        norm = np.sqrt(np.einsum("...chw,...chw->...", tv, tv,
+                                 dtype=np.float64))
+        n = norm.astype(tv.dtype)[..., None, None, None]
+        safe = np.where(n > 0, n, 1)
+        out = tv / safe
 
         def bwd(g):
             radial = np.sum(g * out, axis=(-3, -2, -1), keepdims=True)
             _acc(t, np.where(n > 0, (g - out * radial) / safe, 0.0))
-        return self._out(out, (t,), bwd)
+        return self._out(out, (t,), bwd), norm
+
+    def energy(self, v, bp, bm, z, norm):
+        """A coding block's optimal energy max <v, z> - P(z) over the unit
+        ball, which is ||z_tilde||_2: ``norm`` and ``z`` are what
+        ``normalize`` returned for ``branch_code(v, bp, bm)``.  One node;
+        by the envelope theorem its gradient is z for v, -z+ for
+        beta_plus and z- for beta_minus."""
+        zv = _val(z)
+
+        def bwd(g):
+            gz = g[..., None, None, None] * zv
+            _acc(v, _unbroadcast(gz, v.shape))
+            _acc(bp, -_unbroadcast(np.where(zv > 0, gz, 0.0), bp.shape))
+            _acc(bm, _unbroadcast(np.where(zv < 0, gz, 0.0), bm.shape))
+        return self._out(norm, (v, bp, bm), bwd)
 
     # split, relu and negpart take their sign masks at record time, and
     # only when taped.  Forming the masks inside backward instead allocates

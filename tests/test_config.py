@@ -61,7 +61,8 @@ class TestParseConfig:
     @pytest.mark.parametrize("text", [
         "learning_rate = 0", "adam_eps = -1e-8", "alpha = -0.5",
         "batch_size = 0", "epochs = -1", "unroll_T = 9",
-        "variant = ssc_ebc67\ndropout = 1.5"])
+        "variant = ssc_ebc67\ndropout = 1.5", "subset = -5",
+        "beta = -0.5"])
     def test_values_the_model_rejects_are_config_errors(self, text):
         """Values TrainConfig or the network spec would refuse fail at
         parse time, not after the data is loaded."""

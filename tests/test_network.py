@@ -4,7 +4,7 @@ unrolled refinement, and deconvolutional decoding."""
 import numpy as np
 import pytest
 
-from ebssc import DataError, ShapeError
+from ebssc import DataError, ImproperThresholdError, ShapeError
 from ebssc.config import variant_spec
 from ebssc.network import BlockSpec, NetworkSpec, block_shapes, build, \
     class_energy_breakdown, decode, decode_class_bias, decode_residual, \
@@ -199,6 +199,42 @@ class TestForwardEnergy:
         np.testing.assert_allclose(rep.e_total, res.scores, atol=1e-9)
         np.testing.assert_allclose(rep.e_code + rep.e_class, rep.e_total,
                                    rtol=1e-12)
+
+    @pytest.mark.parametrize("spec", [
+        _toy_energy_spec(), _toy_energy_spec(bias_maps=True),
+        _stacked_energy_spec()], ids=["toy", "bias_maps", "stacked"])
+    def test_scores_are_the_explicit_energy(self, spec):
+        """Each energy block scores ||z~||_2, which is its explicit energy
+        <v, z> - beta_plus.z+ + beta_minus.z- at the recorded code."""
+        params = _generic_params(spec)
+        x = np.random.default_rng(42).standard_normal(
+            (2,) + spec.input_shape)
+        fwd = forward(params, spec, x)
+        explicit = 0.0
+        for i, b in enumerate(spec.blocks):
+            if b.kind != "ebssc":
+                continue
+            v = np.asarray(fwd.correlations[i], dtype=np.float64)
+            bp, bm = (np.asarray(t, dtype=np.float64)
+                      for t in fwd.thresholds[i])
+            z = np.asarray(fwd.codes[i], dtype=np.float64)
+            e = v * z - bp * np.maximum(z, 0) + bm * np.minimum(z, 0)
+            explicit = explicit + e.sum(axis=(-3, -2, -1))
+        assert (explicit > 0).any()
+        np.testing.assert_allclose(fwd.scores, explicit, rtol=1e-12,
+                                   atol=1e-14)
+
+    @pytest.mark.parametrize("arm", ["block0.w_minus", "block2.w_plus"])
+    def test_improper_thresholds_rejected(self, arm):
+        """An arm width that makes w_plus + w_minus < 0 at one
+        coefficient, in an ssc or an ebssc block, is refused."""
+        spec = _toy_energy_spec()
+        params = build(spec, seed=0)
+        p = params[arm].copy()
+        p.flat[1] = -1.0
+        params[arm] = p
+        with pytest.raises(ImproperThresholdError):
+            forward(params, spec, np.zeros((1, 1, 8, 8)))
 
     def test_spatial_bias_maps_run(self):
         """Per-location class arms produce the same shapes."""

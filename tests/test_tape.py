@@ -11,7 +11,8 @@ from ebssc.tape import Node, PlainOps, Tape, TapeOps
 def _gradcheck(fn, x0, atol=1e-7):
     """Compare the taped gradient of ``fn(ops, leaf)`` with central
     differences of its PlainOps evaluation; also checks value agreement
-    and that the untaped evaluation records no node."""
+    and that the untaped evaluation records no node.  Returns the taped
+    gradient."""
     tape = Tape()
     ops = TapeOps(tape)
     leaf = ops.leaf(x0.astype(np.float64))
@@ -27,6 +28,7 @@ def _gradcheck(fn, x0, atol=1e-7):
     np.testing.assert_allclose(float(out.value), plain(x0), rtol=1e-12)
     got = np.zeros_like(x0) if leaf.grad is None else leaf.grad
     np.testing.assert_allclose(got, finite_diff(plain, x0), atol=atol)
+    return got
 
 
 def _away_from_kinks(v, thresholds, margin=0.01):
@@ -222,9 +224,66 @@ class TestNonlinearOps:
         u = rng.standard_normal((2, 3, 3))
 
         def fn(ops, x):
-            return ops.sum_all(ops.mul(ops.normalize(x), ops.leaf(u)))
+            return ops.sum_all(ops.mul(ops.normalize(x)[0], ops.leaf(u)))
 
         _gradcheck(fn, z, atol=1e-6)
+
+
+class TestEnergyOp:
+    """The closed-form coding energy ||z_tilde||_2 and its envelope
+    gradient, over two class hypotheses: hypothesis 0 codes with
+    (0.3, 0.2), hypothesis 1 shrinks everything to zero."""
+
+    @staticmethod
+    def _case():
+        rng = np.random.default_rng(42)
+        v = _away_from_kinks(rng.standard_normal((2, 2, 3, 4, 4)),
+                             [0.3, -0.2])
+        bp = np.stack([np.full((3, 1, 1), 0.3), np.full((3, 1, 1), 10.0)])
+        bm = np.stack([np.full((3, 1, 1), 0.2), np.full((3, 1, 1), 10.0)])
+        w = rng.standard_normal((2, 2))
+        return v, bp, bm, w
+
+    @staticmethod
+    def _weighted_energy(ops, v, bp, bm, w):
+        z, norm = ops.normalize(ops.branch_code(v, bp, bm))
+        return ops.sum_all(ops.mul(ops.energy(v, bp, bm, z, norm),
+                                   ops.leaf(w)))
+
+    def test_value_is_the_norm_and_zero_when_all_shrunk(self):
+        """The energy is ||z_tilde||_2 per hypothesis, exactly 0 for the
+        hypothesis whose z_tilde is all zero."""
+        v, bp, bm, _ = self._case()
+        ops = PlainOps()
+        zt = ops.branch_code(v, bp, bm)
+        z, norm = ops.normalize(zt)
+        e = ops.energy(v, bp, bm, z, norm)
+        assert e.shape == (2, 2)
+        np.testing.assert_allclose(
+            e, np.sqrt((zt ** 2).sum(axis=(-3, -2, -1))), rtol=1e-12)
+        assert (e[:, 0] > 0).all()
+        assert (e[:, 1] == 0).all()
+
+    def test_wrt_correlation(self):
+        """d/dv is the code z; zero for the all-shrunk hypothesis."""
+        v, bp, bm, w = self._case()
+        got = _gradcheck(lambda ops, x: self._weighted_energy(
+            ops, x, ops.leaf(bp), ops.leaf(bm), w), v)
+        assert (got[:, 1] == 0).all()
+
+    def test_wrt_upper_threshold(self):
+        """d/dbeta_plus is -z+ summed over batch and locations."""
+        v, bp, bm, w = self._case()
+        got = _gradcheck(lambda ops, x: self._weighted_energy(
+            ops, ops.leaf(v), x, ops.leaf(bm), w), bp)
+        assert (got[1] == 0).all()
+
+    def test_wrt_lower_threshold(self):
+        """d/dbeta_minus is z- summed over batch and locations."""
+        v, bp, bm, w = self._case()
+        got = _gradcheck(lambda ops, x: self._weighted_energy(
+            ops, ops.leaf(v), ops.leaf(bp), x, w), bm)
+        assert (got[1] == 0).all()
 
 
 class TestPoolingOps:
