@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor
-from .shrinkage import crelu_split
 
 __all__ = ["EnergyBreakdown", "e_code", "e_class", "e_reparam",
            "lsq_objective", "energy_breakdown"]
@@ -69,25 +68,14 @@ def e_code(x, z, bank, beta, pad=0):
     return tensor.inner(x, r) - float(beta) * tensor.l1_norm(z)
 
 
-def _split_pooled(z, pool):
-    zp = np.maximum(z, 0)
-    zn = np.minimum(z, 0)
-    if pool is not None:
-        window, stride, pad = pool
-        zp = tensor.avg_pool(zp, window, stride, pad)
-        zn = tensor.avg_pool(zn, window, stride, pad)
-    return zp, zn
-
-
-def e_class(z, w_plus, w_minus, pool=None):
-    """sum_k <w+_k, z+_k> + <w-_k, z-_k>, optionally average-pooling the
-    split codes first (per-channel weights broadcast over locations)."""
+def e_class(z, w_plus, w_minus):
+    """sum_k <w+_k, z+_k> + <w-_k, z-_k> (per-channel weights broadcast
+    over locations)."""
     z = np.asarray(z, dtype=np.float64)
-    zp, zn = _split_pooled(z, pool)
     wp = _as_map(w_plus, "w_plus")
     wm = _as_map(w_minus, "w_minus")
-    return float((wp * zp).sum(dtype=np.float64)
-                 + (wm * zn).sum(dtype=np.float64))
+    return float((wp * np.maximum(z, 0)).sum(dtype=np.float64)
+                 + (wm * np.minimum(z, 0)).sum(dtype=np.float64))
 
 
 def e_reparam(x, z, bank, w_hat_plus, w_hat_minus, offset, pad=0):
@@ -117,10 +105,10 @@ def lsq_objective(x, z, bank, beta, pad=0):
                  + float(beta) * tensor.l1_norm(z))
 
 
-def energy_breakdown(x, z, bank, beta, w_plus, w_minus, pad=0, pool=None):
+def energy_breakdown(x, z, bank, beta, w_plus, w_minus, pad=0):
     """Bundle e_code/e_class for one class hypothesis into a report."""
     ec = e_code(x, z, bank, beta, pad)
-    ecl = e_class(z, w_plus, w_minus, pool=pool)
+    ecl = e_class(z, w_plus, w_minus)
     r = tensor.reconstruct(np.asarray(z, dtype=np.float64), bank, pad)
     return EnergyBreakdown(
         e_code=ec,

@@ -13,15 +13,29 @@ up to float rounding. Correlation slides filters over the zero-padded input;
 reconstruction is the corresponding transposed (true) convolution, which
 superimposes one translated filter copy per active code coefficient.
 
-Both are backed by an im2col/col2im pair so the heavy lifting is a single
-GEMM; the im2col buffers are also reused for filter gradients during
-training.
+All three convolution kernels share one channels-first column layout, so
+each is a GEMM per map with no window copy and no axis move.  ``_im2col``
+lays a map out as ``(..., C*kh*kw, Ho*Wo)`` columns, rows in (channel, dy,
+dx) order to match ``bank.reshape(K, -1)``, filled by kh*kw slice copies
+from the zero-padded map.  Correlation is ``W @ cols``, which is already
+``(..., K, Ho*Wo)``; the bank gradient is ``g @ cols.T`` summed over the
+leading axes; reconstruction is ``W.T @ z`` followed by kh*kw slice-adds.
+
+``max_pool`` takes a running maximum over the window*window strided views
+of the -inf-padded map, and its switches are int32 row-major offsets
+within each window, ties going to the first cell.  The two pooling
+inverses turn the switches into flat indices into the padded map inside
+each call: ``switch_gather`` reads the recorded cells with one
+``take_along_axis``, and ``max_unpool`` routes values back with one
+``bincount`` scatter, which sums the routes of overlapping windows.  For
+fixed switches both are linear in their map and adjoint to each other.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeError
 
@@ -32,7 +46,6 @@ __all__ = [
     "max_pool",
     "max_unpool",
     "switch_gather",
-    "avg_pool",
     "pool_output_size",
     "inner",
     "l1_norm",
@@ -58,25 +71,29 @@ def _pad_hw(x, pad, value=0.0):
     """Zero-pad (or constant-pad) the trailing two axes by `pad` on each side."""
     if pad == 0:
         return x
-    width = [(0, 0)] * (x.ndim - 2) + [(pad, pad), (pad, pad)]
-    return np.pad(x, width, mode="constant", constant_values=value)
+    h, w = x.shape[-2], x.shape[-1]
+    xp = np.full(x.shape[:-2] + (h + 2 * pad, w + 2 * pad), value,
+                 dtype=x.dtype)
+    xp[..., pad:pad + h, pad:pad + w] = x
+    return xp
 
 
 def _im2col(x, kh, kw, pad):
-    """Return (cols, (Ho, Wo)) with cols of shape (..., Ho*Wo, C*kh*kw).
+    """Return (cols, (Ho, Wo)) with cols of shape (..., C*kh*kw, Ho*Wo).
 
-    Column order is (channel, dy, dx), matching ``bank.reshape(K, -1)``.
+    Row order is (channel, dy, dx), matching ``bank.reshape(K, -1)``.
     """
     xp = _pad_hw(x, pad)
     h, w = xp.shape[-2], xp.shape[-1]
     if h < kh or w < kw:
         raise ShapeError("kernel larger than padded input", (kh, kw), (h, w))
-    win = sliding_window_view(xp, (kh, kw), axis=(-2, -1))  # (..., C, Ho, Wo, kh, kw)
-    win = np.moveaxis(win, -5, -3)  # (..., Ho, Wo, C, kh, kw)
-    ho, wo = win.shape[-5], win.shape[-4]
-    lead = win.shape[:-5]
-    cols = win.reshape(lead + (ho * wo, win.shape[-3] * kh * kw))
-    return np.ascontiguousarray(cols), (ho, wo)
+    ho, wo = h - kh + 1, w - kw + 1
+    cols = np.empty(xp.shape[:-2] + (kh, kw, ho, wo), dtype=xp.dtype)
+    for u in range(kh):
+        for v in range(kw):
+            cols[..., u, v, :, :] = xp[..., u:u + ho, v:v + wo]
+    rows = xp.shape[-3] * kh * kw
+    return cols.reshape(xp.shape[:-3] + (rows, ho * wo)), (ho, wo)
 
 
 def cross_correlate(x, bank, pad=0):
@@ -92,10 +109,8 @@ def cross_correlate(x, bank, pad=0):
                          x.shape, bank.shape)
     k, _, kh, kw = bank.shape
     cols, (ho, wo) = _im2col(x, kh, kw, pad)
-    wmat = bank.reshape(k, -1)
-    out = cols @ wmat.T  # (..., Ho*Wo, K)
-    out = out.reshape(x.shape[:-3] + (ho, wo, k))
-    return np.ascontiguousarray(np.moveaxis(out, -1, -3))
+    out = bank.reshape(k, -1) @ cols  # (..., K, Ho*Wo)
+    return out.reshape(x.shape[:-3] + (k, ho, wo))
 
 
 def reconstruct(z, bank, pad=0):
@@ -116,14 +131,12 @@ def reconstruct(z, bank, pad=0):
         raise ShapeError("padding exceeds reconstructed extent",
                          z.shape, (kh, kw, pad))
     lead = z.shape[:-3]
-    zf = np.moveaxis(z, -3, -1).reshape(lead + (hz * wz, k))
-    cols = zf @ bank.reshape(k, -1)  # (..., Hz*Wz, C*kh*kw)
-    cols = cols.reshape(lead + (hz, wz, c, kh, kw))
+    cols = bank.reshape(k, -1).T @ z.reshape(lead + (k, hz * wz))
+    cols = cols.reshape(lead + (c, kh, kw, hz, wz))
     out_p = np.zeros(lead + (c, hz + kh - 1, wz + kw - 1), dtype=cols.dtype)
     for u in range(kh):
         for v in range(kw):
-            out_p[..., :, u:u + hz, v:v + wz] += np.moveaxis(
-                cols[..., u, v], -1, -3)
+            out_p[..., u:u + hz, v:v + wz] += cols[..., u, v, :, :]
     if pad == 0:
         return out_p
     return np.ascontiguousarray(out_p[..., :, pad:pad + h_out, pad:pad + w_out])
@@ -145,7 +158,7 @@ def correlate_bank_grad(x, upstream, kernel_hw, pad=0):
     k = upstream.shape[-3]
     lead = upstream.shape[:-3]
     gf = upstream.reshape(lead + (k, ho * wo))
-    grad = gf @ cols  # (..., K, C*kh*kw)
+    grad = gf @ np.swapaxes(cols, -1, -2)  # (..., K, C*kh*kw)
     if grad.ndim > 2:
         grad = grad.sum(axis=tuple(range(grad.ndim - 2)))
     return grad.reshape(k, x.shape[-3], kh, kw)
@@ -154,11 +167,6 @@ def correlate_bank_grad(x, upstream, kernel_hw, pad=0):
 def pool_output_size(size, window, stride, pad):
     """floor((size + 2*pad - window) / stride) + 1."""
     return (size + 2 * pad - window) // stride + 1
-
-
-def _pool_windows(xp, window, stride):
-    win = sliding_window_view(xp, (window, window), axis=(-2, -1))
-    return win[..., ::stride, ::stride, :, :]
 
 
 def _check_pool_args(window, stride, pad):
@@ -178,16 +186,26 @@ def max_pool(x, window, stride=None, pad=0, return_switches=False):
     x = _require_map(x)
     stride = window if stride is None else stride
     _check_pool_args(window, stride, pad)
+    ho = pool_output_size(x.shape[-2], window, stride, pad)
+    wo = pool_output_size(x.shape[-1], window, stride, pad)
+    if ho < 1 or wo < 1:
+        raise ShapeError("pool window larger than padded input",
+                         (window, window), x.shape[-2:])
     xp = _pad_hw(x, pad, value=-np.inf)
-    win = _pool_windows(xp, window, stride)
-    lead = win.shape[:-2]
-    flat = win.reshape(lead + (window * window,))
-    switches = flat.argmax(-1)
-    out = np.take_along_axis(flat, switches[..., None], -1)[..., 0]
-    out = np.ascontiguousarray(out)
-    if return_switches:
-        return out, switches.astype(np.int32)
-    return out
+    span_h, span_w = (ho - 1) * stride + 1, (wo - 1) * stride + 1
+    # views[off] holds every window's cell at row-major offset `off`.
+    views = [xp[..., u:u + span_h:stride, v:v + span_w:stride]
+             for u in range(window) for v in range(window)]
+    out = views[0].copy()
+    for view in views[1:]:
+        np.maximum(out, view, out=out)
+    if not return_switches:
+        return out
+    switches = np.zeros(out.shape, dtype=np.int32)
+    # Last offset first, so a tie ends on the first cell.
+    for off in range(len(views) - 1, -1, -1):
+        np.copyto(switches, off, where=views[off] == out)
+    return out, switches
 
 
 def _align_rank(arr, target_ndim):
@@ -199,24 +217,50 @@ def _align_rank(arr, target_ndim):
     return arr
 
 
+def _routes(switches, hw, window, stride, pad):
+    """Flat index, into one (H + 2*pad) x (W + 2*pad) padded map, of the
+    cell each switch recorded.  Raises ShapeError when an H x W map does
+    not pool to the switches' size."""
+    ho, wo = switches.shape[-2], switches.shape[-1]
+    pooled = tuple(pool_output_size(n, window, stride, pad) for n in hw)
+    if pooled != (ho, wo):
+        raise ShapeError("map size does not pool to the switches' size",
+                         tuple(hw), (ho, wo))
+    wp = hw[1] + 2 * pad
+    offsets = np.array([u * wp + v for u in range(window)
+                        for v in range(window)], dtype=np.intp)
+    routes = offsets[switches]
+    routes += stride * (np.arange(ho, dtype=np.intp)[:, None] * wp
+                        + np.arange(wo, dtype=np.intp))
+    return routes
+
+
 def max_unpool(values, switches, window, stride, pad, out_hw):
     """Scatter `values` back to the argmax positions recorded in `switches`.
 
     Linear adjoint of `max_pool` once the switches are fixed; also the
-    unpooling step of deconvolutional decoding.
+    unpooling step of deconvolutional decoding.  Values routed to one cell
+    by overlapping windows add up.
     """
     values = _require_map(values, "pooled map")
     switches = _align_rank(switches, values.ndim)
     values = _align_rank(values, switches.ndim)
+    if values.shape[-2:] != switches.shape[-2:]:
+        raise ShapeError("pooled map and switches differ in size",
+                         values.shape, switches.shape)
     h, w = out_hw
+    routes = _routes(switches, (h, w), window, stride, pad)
     lead = np.broadcast_shapes(values.shape[:-2], switches.shape[:-2])
-    out_p = np.zeros(lead + (h + 2 * pad, w + 2 * pad), dtype=values.dtype)
-    ho, wo = values.shape[-2], values.shape[-1]
-    for off in range(window * window):
-        u, v = divmod(off, window)
-        sel = (switches == off) * values
-        out_p[..., u:u + (ho - 1) * stride + 1:stride,
-              v:v + (wo - 1) * stride + 1:stride] += sel
+    cells = (h + 2 * pad) * (w + 2 * pad)
+    maps = math.prod(lead)
+    # Offset each map's routes into its own block of the flat output.
+    routes = routes + (np.arange(maps, dtype=np.intp) * cells).reshape(
+        lead + (1, 1))
+    weights = np.broadcast_to(values, routes.shape)
+    out_p = np.bincount(routes.ravel(), weights=weights.ravel(),
+                        minlength=maps * cells)
+    out_p = out_p.astype(values.dtype, copy=False).reshape(
+        lead + (h + 2 * pad, w + 2 * pad))
     if pad == 0:
         return out_p
     return np.ascontiguousarray(out_p[..., pad:pad + h, pad:pad + w])
@@ -234,27 +278,12 @@ def switch_gather(x, switches, window, stride, pad):
     x = _require_map(x)
     switches = _align_rank(switches, x.ndim)
     x = _align_rank(x, switches.ndim)
+    routes = _routes(switches, x.shape[-2:], window, stride, pad)
     xp = _pad_hw(x, pad)
-    ho, wo = switches.shape[-2], switches.shape[-1]
-    lead = np.broadcast_shapes(x.shape[:-2], switches.shape[:-2])
-    out = np.zeros(lead + (ho, wo), dtype=x.dtype)
-    for off in range(window * window):
-        u, v = divmod(off, window)
-        windowed = xp[..., u:u + (ho - 1) * stride + 1:stride,
-                      v:v + (wo - 1) * stride + 1:stride]
-        out += (switches == off) * windowed
-    return out
-
-
-def avg_pool(x, window, stride=None, pad=0):
-    """Average pooling; the mean is over in-bounds cells only."""
-    x = _require_map(x)
-    stride = window if stride is None else stride
-    _check_pool_args(window, stride, pad)
-    sums = _pool_windows(_pad_hw(x, pad), window, stride).sum(axis=(-2, -1))
-    ones = np.ones(x.shape[-2:], dtype=x.dtype)
-    counts = _pool_windows(_pad_hw(ones, pad), window, stride).sum(axis=(-2, -1))
-    return sums / counts
+    flat = xp.reshape(xp.shape[:-2] + (-1,))
+    out = np.take_along_axis(flat, routes.reshape(routes.shape[:-2] + (-1,)),
+                             axis=-1)
+    return out.reshape(out.shape[:-1] + switches.shape[-2:])
 
 
 def inner(a, b):

@@ -67,24 +67,36 @@ def max_pool_loops(x, window, stride, pad):
     return out, sw
 
 
-def avg_pool_loops(x, window, stride, pad):
-    """Average pooling where the mean ignores out-of-bounds cells."""
-    c, h, w = x.shape
-    ho = (h + 2 * pad - window) // stride + 1
-    wo = (w + 2 * pad - window) // stride + 1
-    out = np.zeros((c, ho, wo), dtype=np.float64)
-    for ch in range(c):
-        for i in range(ho):
-            for j in range(wo):
-                acc, cnt = 0.0, 0
-                for u in range(window):
-                    for v in range(window):
-                        r, s = i * stride + u - pad, j * stride + v - pad
-                        if 0 <= r < h and 0 <= s < w:
-                            acc += x[ch, r, s]
-                            cnt += 1
-                out[ch, i, j] = acc / cnt
-    return out.astype(x.dtype)
+def max_unpool_loops(values, switches, window, stride, pad, out_hw):
+    """Route each pooled value to its switch's cell, one map at a time;
+    routes of overlapping windows add up.  `switches` broadcasts against
+    `values` over the leading axes."""
+    switches = np.broadcast_to(switches, values.shape)
+    h, w = out_hw
+    out = np.zeros(values.shape[:-2] + (h + 2 * pad, w + 2 * pad),
+                   dtype=values.dtype)
+    for idx in np.ndindex(values.shape):
+        *lead, i, j = idx
+        u, v = divmod(int(switches[idx]), window)
+        out[tuple(lead) + (i * stride + u, j * stride + v)] += values[idx]
+    return out[..., pad:pad + h, pad:pad + w]
+
+
+def switch_gather_loops(x, switches, window, stride, pad):
+    """Read, for each switch, the cell of the zero-padded map it names.
+    `switches` broadcasts against `x` over the leading axes."""
+    lead = np.broadcast_shapes(x.shape[:-2], switches.shape[:-2])
+    x = np.broadcast_to(x, lead + x.shape[-2:])
+    switches = np.broadcast_to(switches, lead + switches.shape[-2:])
+    h, w = x.shape[-2], x.shape[-1]
+    out = np.zeros(switches.shape, dtype=x.dtype)
+    for idx in np.ndindex(switches.shape):
+        *lead_idx, i, j = idx
+        u, v = divmod(int(switches[idx]), window)
+        r, s = i * stride + u - pad, j * stride + v - pad
+        if 0 <= r < h and 0 <= s < w:
+            out[idx] = x[tuple(lead_idx) + (r, s)]
+    return out
 
 
 def shrink_loops(v, beta_plus, beta_minus):

@@ -61,18 +61,6 @@ class TestEClass:
         want = (wp * np.maximum(z, 0)).sum() + (wm * np.minimum(z, 0)).sum()
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
-    def test_pooled_split(self):
-        """The optional pool averages each part before weighting."""
-        rng = np.random.default_rng(42)
-        z = _unit_code(rng, (2, 8, 8))
-        wp = rng.standard_normal(2)
-        wm = rng.standard_normal(2)
-        got = e_class(z, wp, wm, pool=(2, 2, 0))
-        zp = tensor.avg_pool(np.maximum(z, 0), 2, 2, 0)
-        zn = tensor.avg_pool(np.minimum(z, 0), 2, 2, 0)
-        want = (wp[:, None, None] * zp).sum() + (wm[:, None, None] * zn).sum()
-        np.testing.assert_allclose(got, want, rtol=1e-12)
-
     def test_weight_rank_validation(self):
         """Rank-2 weights are neither tied nor maps."""
         with pytest.raises(ValueError):

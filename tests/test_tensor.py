@@ -144,12 +144,16 @@ class TestMaxPool:
 
     @pytest.mark.parametrize("window,stride,pad", [(2, 2, 0), (3, 2, 1)])
     def test_matches_loops(self, window, stride, pad):
-        """Pooled values equal the loop reference."""
+        """Pooled values and switches equal the loop reference, also on a
+        zero-heavy input where most windows tie."""
         rng = np.random.default_rng(42)
         x = rng.standard_normal((3, 8, 8))
-        got = tensor.max_pool(x, window, stride, pad)
-        want, _ = reference.max_pool_loops(x, window, stride, pad)
-        np.testing.assert_array_equal(got, want)
+        for inp in (x, np.maximum(np.round(x), 0)):
+            got, got_sw = tensor.max_pool(inp, window, stride, pad,
+                                          return_switches=True)
+            want, want_sw = reference.max_pool_loops(inp, window, stride, pad)
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(got_sw, want_sw)
 
     def test_switches_locate_the_maxima(self):
         """Gathering at the recorded switches reproduces the pool output."""
@@ -193,6 +197,43 @@ class TestMaxPool:
             np.testing.assert_array_equal(
                 up[:, c], tensor.max_unpool(vals[:, c], sw, 2, 2, 0, (8, 8)))
 
+    @staticmethod
+    def _class_axis_case():
+        """float32 maps with a class axis, pooled at (3, 2, 1) by
+        batchwise switches that lack it."""
+        rng = np.random.default_rng(42)
+        x = rng.standard_normal((2, 3, 9, 9)).astype(np.float32)
+        _, sw = tensor.max_pool(x, 3, 2, 1, return_switches=True)
+        return rng, sw[:, None]
+
+    def test_unpool_matches_loops(self):
+        """Overlapping windows accumulate their routes as in the loops."""
+        rng, sw = self._class_axis_case()
+        vals = rng.standard_normal((2, 4, 3, 5, 5)).astype(np.float32)
+        got = tensor.max_unpool(vals, sw[:, 0], 3, 2, 1, (9, 9))
+        want = reference.max_unpool_loops(vals, sw, 3, 2, 1, (9, 9))
+        assert got.dtype == np.float32
+        np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-6)
+
+    def test_gather_matches_loops(self):
+        """Each switch reads the cell the loops read."""
+        rng, sw = self._class_axis_case()
+        u = rng.standard_normal((2, 4, 3, 9, 9)).astype(np.float32)
+        got = tensor.switch_gather(u, sw[:, 0], 3, 2, 1)
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(
+            got, reference.switch_gather_loops(u, sw, 3, 2, 1))
+
+    @pytest.mark.parametrize("inverse", ["max_unpool", "switch_gather"])
+    def test_inverse_rejects_map_of_wrong_size(self, inverse):
+        """A 6x6 map does not pool to 4x4 switches at (2, 2, 0)."""
+        sw = np.zeros((1, 4, 4), dtype=np.int32)
+        with pytest.raises(ShapeError):
+            if inverse == "max_unpool":
+                tensor.max_unpool(np.ones((1, 4, 4)), sw, 2, 2, 0, (6, 6))
+            else:
+                tensor.switch_gather(np.ones((1, 6, 6)), sw, 2, 2, 0)
+
     def test_tie_takes_first_index(self):
         """Equal values in one window resolve to the earliest cell."""
         x = np.ones((1, 2, 2))
@@ -210,19 +251,6 @@ class TestMaxPool:
             tensor.max_pool(np.zeros((1, 4, 4)), 0, 1, 0)
         with pytest.raises(ValueError):
             tensor.max_pool(np.zeros((1, 4, 4)), 2, 0, 0)
-
-
-class TestAvgPool:
-    """Average pooling and its adjoint."""
-
-    @pytest.mark.parametrize("window,stride,pad", [(2, 2, 0), (3, 2, 1)])
-    def test_matches_loops(self, window, stride, pad):
-        """In-bounds cell counts normalize edge windows."""
-        rng = np.random.default_rng(42)
-        x = rng.standard_normal((2, 8, 8))
-        got = tensor.avg_pool(x, window, stride, pad)
-        want = reference.avg_pool_loops(x, window, stride, pad)
-        np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 class TestNorms:
