@@ -16,8 +16,7 @@ from .config import (RunConfig, parse_config, parse_network,
                      serialize_config, serialize_network, variant_spec)
 from .data import Dataset, Whitening, augment, digits_arrays, load_idx, \
     preprocess
-from .energy import EnergyBreakdown, e_class, e_code, e_reparam, \
-    energy_breakdown
+from .energy import EnergyBreakdown, e_class, e_code, e_reparam
 from .errors import (CheckpointError, ConfigError, DataError,
                      ImproperThresholdError, OracleDivergenceError,
                      ShapeError)
@@ -36,7 +35,7 @@ __all__ = [
     "TrainConfig", "Whitening", "augment", "build",
     "class_energy_breakdown", "class_thresholds", "code_from_correlation",
     "decode", "decode_class_bias", "decode_residual", "digits_arrays",
-    "e_class", "e_code", "e_reparam", "ebssc_encode", "energy_breakdown",
+    "e_class", "e_code", "e_reparam", "ebssc_encode",
     "evaluate", "forward", "ista_csc", "load_checkpoint", "load_idx",
     "parse_config", "parse_network", "pga_ssc", "preprocess",
     "run_check_suite", "save_checkpoint", "serialize_config",

@@ -87,8 +87,10 @@ def _build_parser():
     return p
 
 
-def _load_split(dataset, directory, split):
-    if dataset == "digits":
+def _load_split(spec, directory, split):
+    """The digit IDX files for a one-channel model, CIFAR-10 binaries
+    otherwise."""
+    if spec.input_shape[0] == 1:
         return data_mod.load_digits_dir(directory, split)
     names = ([f"data_batch_{i}.bin" for i in range(1, 6)]
              if split == "train" else ["test_batch.bin"])
@@ -99,8 +101,9 @@ def _load_split(dataset, directory, split):
 def _cmd_train(args):
     with open(args.config) as fh:
         cfg = parse_config(fh.read())
-    train_ds = _load_split(cfg.dataset, args.data, "train")
-    test_ds = _load_split(cfg.dataset, args.data, "test")
+    spec = cfg.network_spec()
+    train_ds = _load_split(spec, args.data, "train")
+    test_ds = _load_split(spec, args.data, "test")
     if cfg.subset:
         train_ds = data_mod.Dataset(images=train_ds.images[:cfg.subset],
                                     labels=train_ds.labels[:cfg.subset],
@@ -109,7 +112,6 @@ def _cmd_train(args):
     if cfg.whiten:
         train_ds, stats = data_mod.preprocess(train_ds)
         test_ds, _ = data_mod.preprocess(test_ds, stats)
-    spec = cfg.network_spec()
     tcfg = cfg.train_config()
     augment_fn = data_mod.augment if cfg.augment else None
 
@@ -135,10 +137,6 @@ def _cmd_train(args):
     return EXIT_OK
 
 
-def _guess_dataset(spec):
-    return "digits" if spec.input_shape[0] == 1 else "cifar10"
-
-
 def _cmd_eval(args):
     ckpt = load_checkpoint(args.ckpt)
     if args.unroll:
@@ -146,7 +144,7 @@ def _cmd_eval(args):
             coding_segment(ckpt.spec)
         except ValueError as exc:
             raise _UsageExit(f"--unroll {args.unroll}: {exc}") from None
-    test_ds = _load_split(_guess_dataset(ckpt.spec), args.data, "test")
+    test_ds = _load_split(ckpt.spec, args.data, "test")
     images = test_ds.images
     if ckpt.whitening is not None:
         images = data_mod.whiten(images, ckpt.whitening)

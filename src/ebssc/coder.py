@@ -16,6 +16,12 @@ with ball multiplier lambda_star = ||z_tilde||_2 / 2 and optimal value
 ||z_tilde||_2.  Class-conditional coding swaps in thresholds built from
 per-class arm widths and a shared channel offset (``ClassBiasParams``).
 
+This module holds the one coding step the networks run: the threshold
+rule ``arm_thresholds`` is what ``network.forward`` calls for every
+coding block, and the single-map encoders shrink and project with the
+same ``tape.Ops`` rules, so a one-block network's code is bitwise the
+encoder's.
+
 ``code_from_correlation`` additionally accepts signed linear bonus terms
 (c_plus on the positive part, c_minus on the negative part); these arise
 when a later layer's reconstruction feeds back through a split
@@ -30,11 +36,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor
-from .shrinkage import ThresholdPair, branch_code
+from .shrinkage import ThresholdPair
+from .tape import Ops
 
 __all__ = ["ClassBiasParams", "CodeResult", "UnitScaleResult",
-           "class_thresholds", "ssc_encode", "ebssc_encode",
-           "code_from_correlation", "unit_scale_to_lsq"]
+           "arm_thresholds", "class_thresholds", "ssc_encode",
+           "ebssc_encode", "code_from_correlation", "unit_scale_to_lsq"]
 
 
 @dataclass(frozen=True)
@@ -81,9 +88,18 @@ class ClassBiasParams:
         return np.asarray(self.w_hat_plus).ndim == 2
 
 
-def _lift(w):
-    """(K,) -> (K, 1, 1) so class weights broadcast over feature maps."""
-    return w[:, None, None] if w.ndim == 1 else w
+def arm_thresholds(ops, w_plus, w_minus, offset):
+    """(beta_plus, beta_minus) = (w_plus + offset, w_minus - offset),
+    broadcastable against a correlation map.  Per-channel arm widths,
+    (K,) or (Y, K), gain two trailing singleton axes; spatial arm maps,
+    (K, H, W) or (Y, K, H, W), are used as they are.  The offset is (K,).
+    Written against ``ops``, so a taped forward pass differentiates it."""
+    arms = np.shape(ops.value(w_plus))
+    if len(arms) <= 2:
+        w_plus = ops.reshape(w_plus, arms + (1, 1))
+        w_minus = ops.reshape(w_minus, arms + (1, 1))
+    offset = ops.reshape(offset, np.shape(ops.value(offset)) + (1, 1))
+    return ops.add(w_plus, offset), ops.sub(w_minus, offset)
 
 
 def class_thresholds(params, label):
@@ -92,12 +108,9 @@ def class_thresholds(params, label):
     beta_plus = w_hat_plus[label] + offset,
     beta_minus = w_hat_minus[label] - offset.
     """
-    wp = np.asarray(params.w_hat_plus)[label]
-    wm = np.asarray(params.w_hat_minus)[label]
-    b = np.asarray(params.offset)
-    if wp.ndim > 1:
-        b = b[:, None, None]
-    return ThresholdPair(beta_plus=_lift(wp + b), beta_minus=_lift(wm - b))
+    return ThresholdPair(*arm_thresholds(
+        Ops(), np.asarray(params.w_hat_plus)[label],
+        np.asarray(params.w_hat_minus)[label], np.asarray(params.offset)))
 
 
 @dataclass(frozen=True)
@@ -118,16 +131,13 @@ class CodeResult:
 def code_from_correlation(v, thresholds, c_plus=None, c_minus=None):
     """Solve the coding problem given the correlation tensor directly."""
     thresholds.require_proper()
-    v = np.asarray(v)
-    z_tilde = branch_code(v, thresholds.beta_plus, thresholds.beta_minus,
-                          c_plus, c_minus)
-    norm = tensor.l2_norm(z_tilde)
-    if norm > 0:
-        code = (z_tilde / norm).astype(v.dtype, copy=False)
-    else:
-        code = np.zeros_like(z_tilde)
+    ops = Ops()
+    z_tilde = ops.branch_code(np.asarray(v), thresholds.beta_plus,
+                              thresholds.beta_minus, c_plus, c_minus)
+    code, norm = ops.normalize(z_tilde)
     return CodeResult(code=code, pre_projection=z_tilde,
-                      lambda_star=0.5 * norm, thresholds_used=thresholds)
+                      lambda_star=0.5 * float(norm),
+                      thresholds_used=thresholds)
 
 
 def ssc_encode(x, bank, thresholds, pad=0):

@@ -2,8 +2,8 @@
 form of a network architecture.
 
 A run config covers the optimizer settings, the model variant and its
-threshold level, and dataset handling (whitening, augmentation, subset
-size).  Unknown keys are rejected with the full list of valid ones, and
+threshold level, and data handling (whitening, augmentation, subset
+size); the dataset follows from the variant's input shape.  Unknown keys are rejected with the full list of valid ones, and
 parse -> serialize -> parse is a fixed point (floats are written with
 repr, which round-trips exactly).
 
@@ -40,7 +40,6 @@ class RunConfig(TrainConfig):
     variant: str = "digits_ssc_ebc2"
     beta: float = 0.05
     dropout: float = 0.0
-    dataset: str = "digits"
     augment: bool = False
     whiten: bool = False
     subset: int = 0
@@ -95,9 +94,6 @@ def parse_config(text):
         out.network_spec()
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    if out.dataset not in ("digits", "cifar10"):
-        raise ConfigError(f"dataset must be digits or cifar10, "
-                          f"got {out.dataset!r}")
     if out.subset < 0:
         raise ConfigError(f"subset must be 0 (all images) or a positive "
                           f"count, got {out.subset}")

@@ -29,7 +29,7 @@ import numpy as np
 from . import tensor
 
 __all__ = ["EnergyBreakdown", "e_code", "e_class", "e_reparam",
-           "lsq_objective", "energy_breakdown"]
+           "lsq_objective"]
 
 UNIT_BALL_SLACK = 1e-6
 
@@ -104,16 +104,3 @@ def lsq_objective(x, z, bank, beta, pad=0):
     return float(np.dot(resid.ravel(), resid.ravel())
                  + float(beta) * tensor.l1_norm(z))
 
-
-def energy_breakdown(x, z, bank, beta, w_plus, w_minus, pad=0):
-    """Bundle e_code/e_class for one class hypothesis into a report."""
-    ec = e_code(x, z, bank, beta, pad)
-    ecl = e_class(z, w_plus, w_minus)
-    r = tensor.reconstruct(np.asarray(z, dtype=np.float64), bank, pad)
-    return EnergyBreakdown(
-        e_code=ec,
-        e_class=ecl,
-        e_total=ec + ecl,
-        l1_of_code=tensor.l1_norm(z),
-        recon_inner=tensor.inner(x, r),
-    )

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coder import ClassBiasParams
 from .network import forward, unrolled_infer
 from .tape import Ops, Tape
 
@@ -143,17 +142,8 @@ def adam_step(params, grads, state, cfg):
 
 
 def project_nonneg(params):
-    """Clamp arm widths at zero.
-
-    Accepts either a full parameter dict (clamps every *.w_plus/
-    *.w_minus entry) or a single ClassBiasParams (clamps its arms,
-    leaves the offset untouched).
-    """
-    if isinstance(params, ClassBiasParams):
-        return ClassBiasParams(
-            w_hat_plus=np.maximum(params.w_hat_plus, 0),
-            w_hat_minus=np.maximum(params.w_hat_minus, 0),
-            offset=params.offset)
+    """Clamp every *.w_plus / *.w_minus entry of a parameter dict at zero;
+    offsets and all other entries pass through."""
     out = dict(params)
     for name, p in params.items():
         if name.endswith((".w_plus", ".w_minus")):

@@ -47,7 +47,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor
+from .coder import arm_thresholds
 from .errors import DataError, ImproperThresholdError, ShapeError
+from .shrinkage import ThresholdPair
 from .tape import Ops
 
 __all__ = ["BlockSpec", "NetworkSpec", "ForwardResult", "UnrollResult",
@@ -235,21 +237,6 @@ class ForwardResult:
         return t[..., y, :, :, :] if self.carries_class_axis(j) else t
 
 
-def _threshold_nodes(ops, leaves, i):
-    """(beta_plus, beta_minus) = (w_plus + offset, w_minus - offset) for
-    coding block i, broadcastable against its v.  Per-channel arm widths,
-    (K,) for ssc or (Y, K) for ebssc, gain two trailing singleton axes;
-    spatial arm maps (Y, K, H, W) are used as they are."""
-    wp, wm = leaves[f"block{i}.w_plus"], leaves[f"block{i}.w_minus"]
-    off = leaves[f"block{i}.offset"]
-    arms = np.shape(ops.value(wp))
-    if len(arms) <= 2:
-        wp = ops.reshape(wp, arms + (1, 1))
-        wm = ops.reshape(wm, arms + (1, 1))
-    off = ops.reshape(off, np.shape(ops.value(off)) + (1, 1))
-    return ops.add(wp, off), ops.sub(wm, off)
-
-
 def _dropout_mask(rng, t_value, rate, class_axis):
     shape = list(t_value.shape)
     if class_axis:
@@ -284,9 +271,9 @@ def forward(params, spec, x, mode="eval", ops=None, rng=None, leaves=None):
 
     Raises ShapeError when x's trailing (C, H, W) is not the spec's input
     shape, DataError when x holds a non-finite value, and
-    ImproperThresholdError when a coding block's thresholds have
-    -beta_minus > beta_plus anywhere: the closed-form shrink is exact only
-    for proper pairs."""
+    ImproperThresholdError when a coding block's thresholds are not a
+    proper pair (``ThresholdPair.proper``): the closed-form shrink is exact
+    only for proper pairs."""
     x = np.asarray(x)
     if x.shape[-3:] != tuple(spec.input_shape):
         raise ShapeError("input does not match the network",
@@ -335,10 +322,13 @@ def forward(params, spec, x, mode="eval", ops=None, rng=None, leaves=None):
             if b.kind == "ebssc" and res.class_axis_at < 0:
                 v = _insert_class_axis(ops, v)
                 res.class_axis_at = i
-            bp, bm = _threshold_nodes(ops, leaves, i)
-            if np.any(-ops.value(bm) > ops.value(bp)):
+            bp, bm = arm_thresholds(ops, leaves[f"block{i}.w_plus"],
+                                    leaves[f"block{i}.w_minus"],
+                                    leaves[f"block{i}.offset"])
+            if not ThresholdPair.proper(ops.value(bp), ops.value(bm)):
                 raise ImproperThresholdError(
-                    f"block {i} thresholds violate -beta_minus <= beta_plus")
+                    f"block {i} thresholds are not proper: NaN, a -inf "
+                    "beta_plus or -beta_minus > beta_plus")
             z, norm = ops.normalize(ops.branch_code(v, bp, bm))
             res.correlations[i] = v
             res.thresholds[i] = (bp, bm)

@@ -27,8 +27,7 @@ import numpy as np
 
 from .errors import ImproperThresholdError
 
-__all__ = ["ThresholdPair", "branch_code", "shrink", "shrink_subgradient",
-           "crelu_split"]
+__all__ = ["ThresholdPair", "branch_code", "shrink", "crelu_split"]
 
 
 @dataclass(frozen=True)
@@ -63,13 +62,24 @@ class ThresholdPair:
         """The ReLU limit: zero upper threshold, negative branch disabled."""
         return cls(np.asarray(0.0), np.asarray(-np.inf))
 
+    @staticmethod
+    def proper(beta_plus, beta_minus):
+        """The properness rule over broadcast arrays: no NaN, no -inf
+        beta_plus, and -beta_minus <= beta_plus wherever beta_minus is
+        finite (a non-finite beta_minus disables the negative arm).
+        A rounded sum keeps the exact sum's sign, and NaN and inf - inf
+        compare false, so beta_plus + beta_minus >= 0 decides every entry
+        but those with a -inf beta_minus in one comparison."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            ok = beta_plus + beta_minus >= 0
+            if ok.all():
+                return True
+            return bool(np.all(ok | ((beta_minus == -np.inf)
+                                     & (beta_plus > -np.inf))))
+
     def is_proper(self):
-        """-beta_minus <= beta_plus wherever both branches are enabled."""
-        bp, bm = np.broadcast_arrays(self.beta_plus, self.beta_minus)
-        ok = np.ones(bp.shape, dtype=bool)
-        both = np.isfinite(bp) & np.isfinite(bm)
-        ok[both] = -bm[both] <= bp[both]
-        return bool(ok.all())
+        """``proper`` for this pair."""
+        return self.proper(self.beta_plus, self.beta_minus)
 
     def require_proper(self):
         if not self.is_proper():
@@ -123,18 +133,6 @@ def shrink(v, pair):
     NaN entries of v stay NaN."""
     pair.require_proper()
     return branch_code(v, pair.beta_plus, pair.beta_minus)
-
-
-def shrink_subgradient(v, pair):
-    """{0, 1} mask: 1 where shrink is locally the identity-plus-shift.
-
-    Zero inside the dead zone, exactly at the kinks and at NaN entries,
-    matching the convention used throughout backpropagation.
-    """
-    pair.require_proper()
-    v = np.asarray(v)
-    z = branch_code(v, pair.beta_plus, pair.beta_minus)
-    return ((z > 0) | (z < 0)).astype(v.dtype)
 
 
 def crelu_split(v, axis=-3):

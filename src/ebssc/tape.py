@@ -229,9 +229,7 @@ class Ops:
             gp = np.take(g, range(k), axis=-3)
             gm = np.take(g, range(k, 2 * k), axis=-3)
             _acc(t, gp * pos + gm * neg)
-        return self._out(np.concatenate([np.maximum(tv, 0),
-                                         np.minimum(tv, 0)], axis=-3),
-                         (t,), bwd)
+        return self._out(shrinkage.crelu_split(tv), (t,), bwd)
 
     def relu(self, t):
         mask = None if self.tape is None else _val(t) > 0

@@ -302,6 +302,8 @@ def l1_norm(a):
 
 
 def l2_norm(a):
-    """Euclidean norm of the flattened array, accumulated in float64."""
-    v = np.asarray(a).ravel().astype(np.float64, copy=False)
-    return float(np.sqrt(np.dot(v, v)))
+    """Euclidean norm of the flattened array, accumulated in float64 by
+    the ``einsum`` reduction that the coder's projection uses, so a map
+    divided by its l2_norm is bitwise that projection's code."""
+    v = np.asarray(a).ravel()
+    return float(np.sqrt(np.einsum("i,i->", v, v, dtype=np.float64)))

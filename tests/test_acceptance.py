@@ -346,7 +346,7 @@ class TestRoundTripsAndSelfChecks:
 
     def test_config_round_trip_is_a_fixed_point(self):
         """parse -> serialize -> parse returns the same run config."""
-        text = ("variant = digits_ssc_ebc2\ndataset = digits\n"
+        text = ("variant = digits_ssc_ebc2\n"
                 "beta = 0.07\nlearning_rate = 0.0025\nepochs = 3\n"
                 "augment = true\n")
         cfg = parse_config(text)

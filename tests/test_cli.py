@@ -15,7 +15,6 @@ from ebssc.network import BlockSpec, NetworkSpec, build
 
 CONFIG = """\
 variant = digits_ssc_ebc2
-dataset = digits
 beta = 0.05
 learning_rate = 0.005
 batch_size = 50

@@ -1,5 +1,6 @@
 """Closed-form coding: sphere identities, class-conditional thresholds,
-and the rescaling bridge to the least-squares solution."""
+agreement with the network's coding blocks, and the rescaling bridge to
+the least-squares solution."""
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from ebssc import tensor
 from ebssc.coder import ClassBiasParams, class_thresholds, \
     code_from_correlation, ebssc_encode, ssc_encode, unit_scale_to_lsq
+from ebssc.network import BlockSpec, NetworkSpec, build, forward
 from ebssc.shrinkage import ThresholdPair, shrink
 
 
@@ -160,6 +162,58 @@ class TestEbsscEncode:
         a = ebssc_encode(x, bank, params, 0).code
         b = ebssc_encode(x, bank, params, 1).code
         assert not np.array_equal(a, b)
+
+
+class TestForwardAgreement:
+    """A one-block network codes exactly as the single-map encoders do:
+    bitwise, in float64, over random instances and thresholds."""
+
+    @staticmethod
+    def _one_block(rng, kind, bias_maps=False):
+        c, hw, k, ksz, pad = 2, 9, 4, 3, 1
+        block = BlockSpec(kind, (k, c, ksz, ksz), pad=pad,
+                          bias_maps=bias_maps)
+        head = ("energy", 0) if kind == "ebssc" else ("linear", 0)
+        spec = NetworkSpec(blocks=(block,), classifier=head, num_classes=3,
+                           input_shape=(c, hw, hw))
+        params = build(spec, seed=int(rng.integers(1 << 30)),
+                       dtype=np.float64)
+        arms = params["block0.w_plus"].shape
+        params["block0.w_plus"] = rng.uniform(0, 0.5, arms)
+        params["block0.w_minus"] = rng.uniform(0, 0.5, arms)
+        params["block0.offset"] = rng.uniform(-0.2, 0.2, k)
+        return spec, params, rng.standard_normal((1, c, hw, hw)), pad
+
+    def test_ssc_encode_is_the_forward_code(self):
+        """ssc_encode's code equals the ssc block's code in forward."""
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            spec, params, x, pad = self._one_block(rng, "ssc")
+            wp, wm, off = (params[f"block0.{n}"][:, None, None]
+                           for n in ("w_plus", "w_minus", "offset"))
+            res = ssc_encode(x[0], params["block0.bank"],
+                             ThresholdPair(wp + off, wm - off), pad=pad)
+            fwd = forward(params, spec, x)
+            np.testing.assert_array_equal(res.code, fwd.codes[0][0])
+
+    @pytest.mark.parametrize("bias_maps", [False, True],
+                             ids=["tied", "maps"])
+    def test_ebssc_encode_is_each_forward_hypothesis(self, bias_maps):
+        """ebssc_encode at label y equals hypothesis y of forward, and
+        its optimal energy is forward's score for y."""
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            spec, params, x, pad = self._one_block(rng, "ebssc", bias_maps)
+            cb = ClassBiasParams(params["block0.w_plus"],
+                                 params["block0.w_minus"],
+                                 params["block0.offset"])
+            fwd = forward(params, spec, x)
+            for y in range(spec.num_classes):
+                res = ebssc_encode(x[0], params["block0.bank"], cb, y,
+                                   pad=pad)
+                np.testing.assert_array_equal(
+                    res.code, fwd.hypothesis(y, 0, fwd.codes[0])[0])
+                assert res.optimal_energy == fwd.scores[0, y]
 
 
 class TestFeedbackDrive:

@@ -26,7 +26,7 @@ class TestParseConfig:
         cfg = RunConfig(alpha=0.0001, learning_rate=0.005, batch_size=20,
                         epochs=7, unroll_T=1, seed=9, beta=0.01,
                         dropout=0.3, augment=True, whiten=True, subset=200,
-                        variant="ssc_ebc67", dataset="cifar10")
+                        variant="ssc_ebc67")
         assert parse_config(serialize_config(cfg)) == cfg
 
     def test_serialized_text_is_fixed_point(self):

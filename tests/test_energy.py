@@ -6,8 +6,7 @@ import pytest
 
 from ebssc import tensor
 from ebssc.coder import ClassBiasParams, ebssc_encode
-from ebssc.energy import EnergyBreakdown, e_class, e_code, e_reparam, \
-    energy_breakdown, lsq_objective
+from ebssc.energy import e_class, e_code, e_reparam, lsq_objective
 
 
 def _unit_code(rng, shape):
@@ -126,23 +125,3 @@ class TestLsqObjective:
         got = lsq_objective(x, np.zeros((1, 2, 2)), np.ones((1, 1, 3, 3)),
                             1.0)
         np.testing.assert_allclose(got, 16.0)
-
-
-class TestEnergyBreakdown:
-    """The bundled per-hypothesis report."""
-
-    def test_total_is_sum_of_parts(self):
-        """e_total == e_code + e_class exactly as stored."""
-        rng = np.random.default_rng(42)
-        x = rng.standard_normal((2, 6, 6))
-        bank = rng.standard_normal((3, 2, 3, 3))
-        z = _unit_code(rng, (3, 4, 4))
-        rep = energy_breakdown(x, z, bank, 0.2, rng.uniform(0, 0.2, 3),
-                               rng.uniform(0, 0.2, 3))
-        assert isinstance(rep, EnergyBreakdown)
-        np.testing.assert_allclose(rep.e_total, rep.e_code + rep.e_class,
-                                   rtol=1e-12)
-        np.testing.assert_allclose(rep.l1_of_code, np.abs(z).sum())
-        np.testing.assert_allclose(
-            rep.recon_inner, tensor.inner(x, tensor.reconstruct(z, bank, 0)),
-            rtol=1e-12)

@@ -10,7 +10,6 @@ import pytest
 from ebssc.config import variant_spec
 from ebssc.learn import OptimizerState, TrainConfig, adam_step, backward, \
     dataset_objective, evaluate, loss, project_nonneg, train
-from ebssc.coder import ClassBiasParams
 from ebssc.network import BlockSpec, NetworkSpec, build
 from ebssc.oracle import finite_diff
 
@@ -144,19 +143,11 @@ class TestAdamStep:
         assert (out["block0.w_plus"] >= 0).all()
 
     def test_project_nonneg_on_dicts_and_bias_params(self):
-        """Both container forms clamp arms and leave offsets alone."""
+        """The dict form clamps arms and leaves offsets alone."""
         d = project_nonneg({"a.w_plus": np.asarray([-1.0, 2.0]),
                             "a.offset": np.asarray([-3.0])})
         np.testing.assert_array_equal(d["a.w_plus"], [0.0, 2.0])
         np.testing.assert_array_equal(d["a.offset"], [-3.0])
-        cb = project_nonneg(ClassBiasParams(
-            w_hat_plus=np.asarray([[0.0, 0.5]]),
-            w_hat_minus=np.asarray([[0.1, 0.0]]),
-            offset=np.asarray([-0.2, 0.2])))
-        assert isinstance(cb, ClassBiasParams)
-        assert (np.asarray(cb.w_hat_plus) >= 0).all()
-        assert (np.asarray(cb.w_hat_minus) >= 0).all()
-        np.testing.assert_array_equal(cb.offset, [-0.2, 0.2])
 
 
 class TestTrainConfig:

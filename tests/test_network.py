@@ -199,6 +199,16 @@ class TestForwardEnergy:
         np.testing.assert_allclose(rep.e_total, res.scores, atol=1e-9)
         np.testing.assert_allclose(rep.e_code + rep.e_class, rep.e_total,
                                    rtol=1e-12)
+        energy = [i for i, b in enumerate(spec.blocks) if b.kind == "ebssc"]
+        axes = (-3, -2, -1)
+        np.testing.assert_allclose(
+            rep.l1_of_code,
+            sum(np.abs(res.codes[i]).sum(axis=axes) for i in energy),
+            rtol=1e-12)
+        np.testing.assert_allclose(
+            rep.recon_inner,
+            sum((res.correlations[i] * res.codes[i]).sum(axis=axes)
+                for i in energy), rtol=1e-12)
 
     @pytest.mark.parametrize("spec", [
         _toy_energy_spec(), _toy_energy_spec(bias_maps=True),
@@ -224,14 +234,18 @@ class TestForwardEnergy:
         np.testing.assert_allclose(fwd.scores, explicit, rtol=1e-12,
                                    atol=1e-14)
 
-    @pytest.mark.parametrize("arm", ["block0.w_minus", "block2.w_plus"])
-    def test_improper_thresholds_rejected(self, arm):
+    @pytest.mark.parametrize("arm, value", [
+        pytest.param("block0.w_minus", -1.0, id="block0.w_minus"),
+        pytest.param("block2.w_plus", -1.0, id="block2.w_plus"),
+        pytest.param("block2.w_plus", np.nan, id="block2.w_plus-nan")])
+    def test_improper_thresholds_rejected(self, arm, value):
         """An arm width that makes w_plus + w_minus < 0 at one
-        coefficient, in an ssc or an ebssc block, is refused."""
+        coefficient, in an ssc or an ebssc block, is refused, and so is
+        a NaN arm width, which would otherwise score its class NaN."""
         spec = _toy_energy_spec()
         params = build(spec, seed=0)
         p = params[arm].copy()
-        p.flat[1] = -1.0
+        p.flat[1] = value
         params[arm] = p
         with pytest.raises(ImproperThresholdError):
             forward(params, spec, np.zeros((1, 1, 8, 8)))

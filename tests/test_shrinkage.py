@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from ebssc import ImproperThresholdError
-from ebssc.shrinkage import ThresholdPair, crelu_split, shrink, \
-    shrink_subgradient
+from ebssc.shrinkage import ThresholdPair, crelu_split, shrink
 
 from reference import shrink_loops
 
@@ -41,6 +40,20 @@ class TestThresholdPair:
         """NaN thresholds are refused at construction."""
         with pytest.raises(ImproperThresholdError):
             ThresholdPair(np.asarray(np.nan), np.asarray(0.1))
+
+    @pytest.mark.parametrize("bp, bm, want", [
+        (0.2, -0.2, True), (0.2, -0.2000001, False), (1e-300, -1e-300, True),
+        (np.inf, 0.0, True), (0.0, np.inf, True), (0.0, -np.inf, True),
+        (np.inf, -np.inf, True), (-np.inf, np.inf, False),
+        (-np.inf, -np.inf, False), (np.nan, 0.0, False), (0.0, np.nan, False),
+        (np.nan, -np.inf, False)])
+    def test_proper_rule_per_entry(self, bp, bm, want):
+        """ThresholdPair.proper, on one entry among proper ones: NaN and a
+        -inf beta_plus are refused, and a non-finite beta_minus disables
+        the -beta_minus <= beta_plus test."""
+        bps, bms = np.full(4, 0.1), np.full(4, 0.1)
+        bps[2], bms[2] = bp, bm
+        assert ThresholdPair.proper(bps, bms) is want
 
     def test_disabled_branch_always_proper(self):
         """An infinite beta_minus disables the check on that entry."""
@@ -122,24 +135,6 @@ class TestTwoReluIdentity:
         rhs = np.maximum(v - bp, np.float32(0)) \
             - np.maximum(-(v + bp), np.float32(0))
         np.testing.assert_array_equal(lhs, rhs)
-
-
-class TestShrinkSubgradient:
-    """The {0, 1} activity mask used by backpropagation."""
-
-    def test_mask_matches_active_set(self):
-        """Mask is 1 exactly where the output is nonzero."""
-        rng = np.random.default_rng(42)
-        v = rng.standard_normal(2000)
-        p = ThresholdPair(np.asarray(0.3), np.asarray(0.2))
-        mask = shrink_subgradient(v, p)
-        np.testing.assert_array_equal(mask != 0, shrink(v, p) != 0)
-
-    def test_kinks_count_as_inactive(self):
-        """At v == beta_plus the subgradient convention picks 0."""
-        p = ThresholdPair(np.asarray(0.5), np.asarray(0.5))
-        mask = shrink_subgradient(np.asarray([0.5, -0.5]), p)
-        np.testing.assert_array_equal(mask, [0.0, 0.0])
 
 
 class TestCreluSplit:

@@ -217,6 +217,31 @@ class TestNonlinearOps:
 
         _gradcheck(fn, np.full(3, 0.3))
 
+    @staticmethod
+    def _branch_code_mask(v, bp, bm):
+        """z_tilde and the gradient of sum(z_tilde) with respect to v."""
+        tape = Tape()
+        ops = TapeOps(tape)
+        x = ops.leaf(v)
+        z = ops.branch_code(x, ops.leaf(np.asarray(bp)),
+                            ops.leaf(np.asarray(bm)))
+        tape.backward(ops.sum_all(z))
+        return z.value, x.grad
+
+    def test_branch_code_mask_matches_active_set(self):
+        """The backward mask is 1 exactly where z_tilde is nonzero."""
+        v = np.random.default_rng(42).standard_normal(2000)
+        z, mask = self._branch_code_mask(v, 0.3, 0.2)
+        np.testing.assert_array_equal(mask != 0, z != 0)
+        assert set(np.unique(mask)) == {0.0, 1.0}
+
+    def test_branch_code_kinks_count_as_inactive(self):
+        """At v == beta_plus, at v == -beta_minus and at NaN the
+        subgradient convention picks 0."""
+        _, mask = self._branch_code_mask(
+            np.asarray([0.5, -0.5, np.nan, 0.7, -0.7]), 0.5, 0.5)
+        np.testing.assert_array_equal(mask, [0.0, 0.0, 0.0, 1.0, 1.0])
+
     def test_normalize(self):
         """Sphere projection differentiates through the norm."""
         rng = np.random.default_rng(42)
