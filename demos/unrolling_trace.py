@@ -6,6 +6,8 @@ block with reconstruction feedback from the block above, and the joint
 energy of the whole segment can only go up.  This prints the trace.
 """
 
+import sys
+
 import numpy as np
 
 from ebssc import digits_arrays, variant_spec
@@ -39,9 +41,12 @@ def main():
     gains = np.diff(trace, axis=0)
     print(f"\nsmallest per-sweep gain anywhere: {gains.min():.3e}")
     print(f"largest:                          {gains.max():.3e}")
-    print("every entry is non-negative: monotone ascent, as promised."
-          if (gains >= -1e-9).all() else "MONOTONICITY VIOLATED")
+    if (gains >= -1e-9).all():
+        print("every entry is non-negative: monotone ascent, as promised.")
+        return 0
+    print("MONOTONICITY VIOLATED")
+    return 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -20,7 +20,7 @@ from .config import parse_config
 from .errors import CheckpointError, ConfigError, DataError
 from .imaging import emit_image_grid
 from .learn import evaluate, train
-from .network import (CODING_KINDS, class_energy_breakdown, coding_segment,
+from .network import (CODING_KINDS, _energy_breakdown, coding_segment,
                       decode, decode_class_bias, decode_residual, forward)
 from .oracle import run_check_suite
 
@@ -206,7 +206,7 @@ def _cmd_encode(args):
         else:
             tensors[f"code.block{i}"] = code
     if ckpt.spec.classifier[0] == "energy":
-        bd = class_energy_breakdown(ckpt.params, ckpt.spec, x)
+        bd = _energy_breakdown(ckpt.params, ckpt.spec, fwd)
         for name in ("e_code", "e_class", "e_total", "l1_of_code",
                      "recon_inner"):
             tensors[f"energy.{name}"] = getattr(bd, name)[0]

@@ -78,26 +78,24 @@ def _regularized(spec, name):
 
 
 def loss(params, spec, images, labels, cfg, mode="train", ops=None,
-         rng=None, leaves=None):
+         rng=None):
     """Mean softmax-energy loss over a batch, plus the L2 term.
 
-    Returns (loss, scores); both are tape nodes when ``ops`` records.
+    Returns (loss, scores); both are tape nodes when ``ops`` records, and
+    then ``params`` holds the tape's leaf nodes (see ``backward``).
     """
     if ops is None:
         ops = Ops()
-    if leaves is None:
-        leaves = {k: ops.leaf(p) for k, p in params.items()}
     labels = np.asarray(labels)
     if cfg.unroll_T == 0:
-        scores = forward(params, spec, images, mode=mode, ops=ops, rng=rng,
-                         leaves=leaves).scores
+        scores = forward(params, spec, images, mode=mode, ops=ops,
+                         rng=rng).scores
     else:
         scores = unrolled_infer(params, spec, images, T=cfg.unroll_T,
-                                mode=mode, ops=ops, rng=rng,
-                                leaves=leaves).scores
+                                mode=mode, ops=ops, rng=rng).scores
     total = ops.softmax_xent(scores, labels)
     if cfg.alpha > 0:
-        reg = ops.add_n([ops.sumsq(leaves[n]) for n in sorted(leaves)
+        reg = ops.add_n([ops.sumsq(params[n]) for n in sorted(params)
                          if _regularized(spec, n)])
         total = ops.add(total, ops.scale(reg, cfg.alpha / 2.0))
     return total, scores
@@ -111,8 +109,8 @@ def backward(params, spec, images, labels, cfg, mode="train", rng=None):
     tape = Tape()
     ops = Ops(tape)
     leaves = {k: ops.leaf(p) for k, p in params.items()}
-    out, scores = loss(params, spec, images, labels, cfg, mode=mode,
-                       ops=ops, rng=rng, leaves=leaves)
+    out, scores = loss(leaves, spec, images, labels, cfg, mode=mode,
+                       ops=ops, rng=rng)
     tape.backward(out)
     grads = {}
     for name, leaf in leaves.items():

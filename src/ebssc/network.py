@@ -17,8 +17,9 @@ A network is an ordered list of blocks — rectifier baselines (``relu``,
 Every coding block emits split codes (positive and negative parts as
 separate channels), so coding and crelu-family blocks double the channel
 count seen by the next block.  Forward passes are written against the op
-surface in ``tape``: pass ``Ops(tape)`` to record gradients, or nothing
-for plain evaluation.  ``forward`` shrinks with the one-arm closed form,
+surface in ``tape``: pass ``Ops(tape)`` with ``params`` mapping each name
+to its leaf node on that tape to record gradients, or nothing (and plain
+arrays) for evaluation.  ``forward`` shrinks with the one-arm closed form,
 which needs proper thresholds (-beta_minus <= beta_plus), so it refuses
 parameters that violate that.
 
@@ -28,8 +29,9 @@ sweep re-solves every block's code in closed form, with the linear term
 augmented by the reconstruction fed back from the block above.  Pooling
 decisions are frozen to the initial forward pass's switches, so every
 update is an exact coordinate maximization and the joint energy can only
-go up.  The trace evaluates that energy explicitly, as
-<v, z> - beta_plus.z+ + beta_minus.z-, at every sweep.
+go up.  The trace evaluates that energy at every sweep with ``Ops.energy``
+without a norm: explicitly, as <v, z> - beta_plus.z+ + beta_minus.z-,
+because a code refined with feedback is not its own block's optimum.
 
 ``forward`` owns each coding block's state.  It records the block's
 correlation v and the thresholds (beta_plus, beta_minus) it coded with,
@@ -250,16 +252,7 @@ def _insert_class_axis(ops, t):
     return ops.reshape(t, shape[:-3] + (1,) + shape[-3:])
 
 
-def _score_term(ops, v, bp, bm, z):
-    """<v, z> - beta_plus' z+ + beta_minus' z-: the block's energy at any
-    code z, evaluated explicitly."""
-    drive = ops.sum_spatial(ops.mul(v, z))
-    pos = ops.sum_spatial(ops.mul(bp, ops.relu(z)))
-    neg = ops.sum_spatial(ops.mul(bm, ops.negpart(z)))
-    return ops.add(ops.sub(drive, pos), neg)
-
-
-def forward(params, spec, x, mode="eval", ops=None, rng=None, leaves=None):
+def forward(params, spec, x, mode="eval", ops=None, rng=None):
     """Run the network.  With the energy classifier the class hypothesis
     axis is vectorized: activations from the first ebssc block on gain a
     class dimension at -4, and scores cover every class.  One hypothesis
@@ -282,8 +275,6 @@ def forward(params, spec, x, mode="eval", ops=None, rng=None, leaves=None):
         raise DataError("input holds non-finite values")
     if ops is None:
         ops = Ops()
-    if leaves is None:
-        leaves = {name: ops.leaf(p) for name, p in params.items()}
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be train or eval, got {mode!r}")
     head, head_idx = spec.classifier
@@ -306,25 +297,25 @@ def forward(params, spec, x, mode="eval", ops=None, rng=None, leaves=None):
             t, sw = ops.maxpool(t, b.kernel[0], b.stride, b.pad)
             res.switches[i] = sw
         elif b.kind == "relu":
-            v = ops.correlate(t, leaves[f"block{i}.bank"], b.pad)
-            v = ops.add(v, ops.reshape(leaves[f"block{i}.bias"],
+            v = ops.correlate(t, params[f"block{i}.bank"], b.pad)
+            v = ops.add(v, ops.reshape(params[f"block{i}.bias"],
                                        (b.kernel[0], 1, 1)))
             t = ops.relu(v)
         elif b.kind in ("crelu", "crelu_sn"):
-            v = ops.correlate(t, leaves[f"block{i}.bank"], b.pad)
-            v = ops.add(v, ops.reshape(leaves[f"block{i}.bias"],
+            v = ops.correlate(t, params[f"block{i}.bank"], b.pad)
+            v = ops.add(v, ops.reshape(params[f"block{i}.bias"],
                                        (b.kernel[0], 1, 1)))
             if b.kind == "crelu_sn":
                 v = ops.normalize(v)[0]
             t = ops.split(v)
         else:
-            v = ops.correlate(t, leaves[f"block{i}.bank"], b.pad)
+            v = ops.correlate(t, params[f"block{i}.bank"], b.pad)
             if b.kind == "ebssc" and res.class_axis_at < 0:
                 v = _insert_class_axis(ops, v)
                 res.class_axis_at = i
-            bp, bm = arm_thresholds(ops, leaves[f"block{i}.w_plus"],
-                                    leaves[f"block{i}.w_minus"],
-                                    leaves[f"block{i}.offset"])
+            bp, bm = arm_thresholds(ops, params[f"block{i}.w_plus"],
+                                    params[f"block{i}.w_minus"],
+                                    params[f"block{i}.offset"])
             if not ThresholdPair.proper(ops.value(bp), ops.value(bm)):
                 raise ImproperThresholdError(
                     f"block {i} thresholds are not proper: NaN, a -inf "
@@ -344,7 +335,7 @@ def forward(params, spec, x, mode="eval", ops=None, rng=None, leaves=None):
     if head == "linear":
         shape = np.shape(ops.value(feat))
         flat = ops.reshape(feat, shape[:-3] + (-1,))
-        res.scores = ops.linear(flat, leaves["classifier.w"])
+        res.scores = ops.linear(flat, params["classifier.w"])
     else:
         res.scores = ops.add_n(score_terms)
     return res
@@ -384,7 +375,7 @@ def _segment_energy(ops, states):
     Blocks below the first class-conditional one contribute a term with
     no class axis; those are given a trailing singleton so the sum
     broadcasts to one energy per class hypothesis."""
-    terms = [_score_term(ops, st["v"], st["bp"], st["bm"], st["z"])
+    terms = [ops.energy(st["v"], st["bp"], st["bm"], st["z"])
              for st in states]
     width = max(t.shape[-1] if len(t.shape) > 1 else 1 for t in terms)
     total = None
@@ -396,29 +387,26 @@ def _segment_energy(ops, states):
                    if st["spec"].kind == "ebssc"]
 
 
-def unrolled_infer(params, spec, x, T, mode="eval", ops=None, rng=None,
-                   leaves=None):
+def unrolled_infer(params, spec, x, T, mode="eval", ops=None, rng=None):
     """T sweeps of block-coordinate ascent over the trailing coding
     blocks.  T=0 reproduces forward() exactly; each sweep updates codes
     top-down with reconstruction feedback, then bottom-up refreshing each
     block's linear term from the codes below.  The reported energy trace
     is the joint segment energy after the initial pass and each sweep,
-    evaluated explicitly every time; the scores are the ebssc terms of the
-    last sweep, or forward()'s closed-form scores when T=0.  Train mode
+    evaluated explicitly every time (``Ops.energy`` without a norm, one
+    node per block and sweep); the scores are the ebssc terms of the last
+    sweep, or forward()'s closed-form scores when T=0.  Train mode
     refuses a coding segment with dropout (see the module docstring)."""
     if not 0 <= T <= 4:
         raise ValueError(f"unroll depth must be in 0..4, got {T}")
     if ops is None:
         ops = Ops()
-    if leaves is None:
-        leaves = {name: ops.leaf(p) for name, p in params.items()}
     segment = coding_segment(spec)
     if mode == "train" and any(spec.blocks[i].dropout_rate > 0
                                for i in segment):
         raise ValueError("train-mode unrolling does not support dropout "
                          "in the coding segment")
-    fwd = forward(params, spec, x, mode=mode, ops=ops, rng=rng,
-                  leaves=leaves)
+    fwd = forward(params, spec, x, mode=mode, ops=ops, rng=rng)
 
     # Start from forward's per-block state; freeze the pool path between.
     states = []
@@ -451,7 +439,7 @@ def unrolled_infer(params, spec, x, T, mode="eval", ops=None, rng=None,
         """Split-space bonus terms for block `pos` from the block above."""
         upper = states[pos + 1]
         ub = upper["spec"]
-        r = ops.reconstruct(upper["z"], leaves[f"block{upper['block']}.bank"],
+        r = ops.reconstruct(upper["z"], params[f"block{upper['block']}.bank"],
                             ub.pad)
         for j, bj, sw in reversed(states[pos]["pools"]):
             hw = _pre_pool_hw(spec, j)
@@ -466,7 +454,7 @@ def unrolled_infer(params, spec, x, T, mode="eval", ops=None, rng=None,
         for j, bj, sw in below["pools"]:
             t = ops.switch_pool(t, sw, bj.kernel[0], bj.stride, bj.pad)
         st = states[pos]
-        st["v"] = ops.correlate(t, leaves[f"block{st['block']}.bank"],
+        st["v"] = ops.correlate(t, params[f"block{st['block']}.bank"],
                                 st["spec"].pad)
 
     last = len(states) - 1
@@ -555,31 +543,31 @@ def class_energy_breakdown(params, spec, x):
     """Split every class hypothesis's score into the class-independent
     code term and the class-bias term, summed over the energy blocks.
 
-    Each block contributes <v, z> minus the signed offset term b.sum(z)
-    to e_code and -w_hat_plus.z_plus + w_hat_minus.z_minus to e_class;
-    their sum equals forward()'s score for that hypothesis.  v and z are
-    the ones forward() recorded.
+    Each block's energy ``Ops.energy`` at the code forward() recorded is
+    its term of e_total, which equals forward()'s score for that
+    hypothesis.  e_code is <v, z> minus the signed offset term b.sum(z);
+    e_class, -w_hat_plus.z_plus + w_hat_minus.z_minus, is the rest.
     """
+    return _energy_breakdown(params, spec, forward(params, spec, x))
+
+
+def _energy_breakdown(params, spec, fwd):
+    """``class_energy_breakdown`` of the pass ``fwd`` already ran."""
     from .energy import EnergyBreakdown
-    fwd = forward(params, spec, x)
-    pieces = np.zeros((4,) + np.shape(fwd.scores))
+    ops = Ops()
+    e_total, recon, offset, l1 = np.zeros((4,) + np.shape(fwd.scores))
+    sums = (-3, -2, -1)
     for i, b in enumerate(spec.blocks):
         if b.kind != "ebssc":
             continue
-        v = fwd.correlations[i]
-        z = fwd.codes[i].astype(np.float64)
-        zp, zm = np.maximum(z, 0.0), np.minimum(z, 0.0)
-        wp = params[f"block{i}.w_plus"]
-        wm = params[f"block{i}.w_minus"]
-        off = params[f"block{i}.offset"]
-        if wp.ndim == 2:
-            wp, wm = wp[..., None, None], wm[..., None, None]
-        sums = (-3, -2, -1)
-        pieces[0] += (v * z).sum(axis=sums)
-        pieces[1] += (z * off[:, None, None]).sum(axis=sums)
-        pieces[2] += (wp * zp).sum(axis=sums) - (wm * zm).sum(axis=sums)
-        pieces[3] += np.abs(z).sum(axis=sums)
-    return EnergyBreakdown(e_code=pieces[0] - pieces[1],
-                           e_class=-pieces[2],
-                           e_total=pieces[0] - pieces[1] - pieces[2],
-                           l1_of_code=pieces[3], recon_inner=pieces[0])
+        v, z = fwd.correlations[i], fwd.codes[i]
+        e_total += ops.energy(v, *fwd.thresholds[i], z)
+        z = z.astype(np.float64)
+        recon += (v * z).sum(axis=sums)
+        offset += (z * params[f"block{i}.offset"][:, None, None]).sum(
+            axis=sums)
+        l1 += np.abs(z).sum(axis=sums)
+    e_code = recon - offset
+    return EnergyBreakdown(e_code=e_code, e_class=e_total - e_code,
+                           e_total=e_total, l1_of_code=l1,
+                           recon_inner=recon)

@@ -18,12 +18,15 @@ zone) and are read off the signs of z_tilde, the unit-sphere projection
 uses the Jacobian (I - z z') / ||z_tilde||, and max-pool routes through
 recorded argmax switches.
 
-``energy`` is a coding block's optimal value ||z_tilde||_2, the norm
-``normalize`` already computed.  It records one node whose parents are
-the block's correlation v and thresholds (beta_plus, beta_minus), and by
-the envelope theorem its backward rule is the code itself: z for v, -z+
-for beta_plus and z- for beta_minus, with no path back through the
-shrinkage or the projection.
+``energy`` is the one statement of a coding block's energy
+<v, z> - beta_plus.z+ + beta_minus.z-, in two forms.  Given the norm
+``normalize`` computed, z is the block's optimum and the value is that
+norm ||z_tilde||_2: one node whose parents are the correlation v and the
+thresholds (beta_plus, beta_minus), whose backward rule is, by the
+envelope theorem, the code itself (z for v, -z+ for beta_plus, z- for
+beta_minus), with no path back through the shrinkage or the projection.
+Without the norm, the energy is evaluated explicitly at any code z, as
+unrolled inference needs: one node that also has z as a parent.
 
 A backward rule reads its parents' recorded values; what it keeps from
 record time is the rectifiers' sign masks and the pooling switches.
@@ -201,24 +204,45 @@ class Ops:
             _acc(t, np.where(n > 0, (g - out * radial) / safe, 0.0))
         return self._out(out, (t,), bwd), norm
 
-    def energy(self, v, bp, bm, z, norm):
-        """A coding block's optimal energy max <v, z> - P(z) over the unit
-        ball, which is ||z_tilde||_2: ``norm`` and ``z`` are what
-        ``normalize`` returned for ``branch_code(v, bp, bm)``.  One node;
-        by the envelope theorem its gradient is z for v, -z+ for
-        beta_plus and z- for beta_minus."""
+    def energy(self, v, bp, bm, z, norm=None):
+        """A coding block's energy <v, z> - beta_plus.z+ + beta_minus.z-,
+        summed over the trailing (C, H, W) axes.
+
+        With ``norm``, ``z`` and ``norm`` are what ``normalize`` returned
+        for ``branch_code(v, bp, bm)``: z is the optimum over the unit
+        ball, so the value is ||z_tilde||_2 and, by the envelope theorem,
+        the gradient is z for v, -z+ for beta_plus and z- for beta_minus,
+        with no path back through z.  Without ``norm`` the value is
+        evaluated explicitly, accumulated in float64, for any code z; the
+        gradient adds v - beta_plus.[z > 0] + beta_minus.[z < 0] for z."""
         zv = _val(z)
+        explicit = norm is None
+        if explicit:
+            # z+ = (z + |z|)/2 and z- = (z - |z|)/2, so the penalty splits
+            # at the dead zone's centre and half-width.
+            vv, bpv, bmv = _val(v), _val(bp), _val(bm)
+            centre, half = (bpv - bmv) / 2, (bpv + bmv) / 2
+            drive = (vv - centre) * zv
+            pen = np.abs(zv)
+            pen *= half
+            drive -= pen
+            norm = np.sum(drive, axis=(-3, -2, -1), dtype=np.float64)
 
         def bwd(g):
-            gz = g[..., None, None, None] * zv
+            g = g[..., None, None, None]
+            gz = g * zv
             _acc(v, _unbroadcast(gz, v.shape))
             _acc(bp, -_unbroadcast(np.where(zv > 0, gz, 0.0), bp.shape))
             _acc(bm, _unbroadcast(np.where(zv < 0, gz, 0.0), bm.shape))
-        return self._out(norm, (v, bp, bm), bwd)
+            if explicit:
+                slope = v.value - bp.value * (zv > 0) + bm.value * (zv < 0)
+                _acc(z, _unbroadcast(g * slope, z.shape))
+        parents = (v, bp, bm, z) if explicit else (v, bp, bm)
+        return self._out(norm, parents, bwd)
 
-    # split, relu and negpart take their sign masks at record time, and
-    # only when taped.  Forming the masks inside backward instead allocates
-    # fresh buffers there: 12-23% more page faults per training step and
+    # split and relu take their sign masks at record time, and only when
+    # taped.  Forming the masks inside backward instead allocates fresh
+    # buffers there: 12-23% more page faults per training step and
     # ~5% less digits-train throughput, for ~3 MB less peak memory.
     def split(self, t):
         tv = _val(t)
@@ -237,13 +261,6 @@ class Ops:
         def bwd(g):
             _acc(t, g * mask)
         return self._out(np.maximum(_val(t), 0), (t,), bwd)
-
-    def negpart(self, t):
-        mask = None if self.tape is None else _val(t) < 0
-
-        def bwd(g):
-            _acc(t, g * mask)
-        return self._out(np.minimum(_val(t), 0), (t,), bwd)
 
     def maxpool(self, t, window, stride, pad):
         """Returns (pooled, switches); the switches stay a plain array."""
@@ -284,12 +301,6 @@ class Ops:
             full[..., start:stop, :, :] = g
             _acc(t, full)
         return self._out(sliced, (t,), bwd)
-
-    def sum_spatial(self, t):
-        def bwd(g):
-            _acc(t, np.broadcast_to(g[..., None, None, None], t.shape))
-        return self._out(
-            np.sum(_val(t), axis=(-3, -2, -1), dtype=np.float64), (t,), bwd)
 
     def sum_all(self, t):
         def bwd(g):

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage, 2 unreadable data, 3 failed checks.
 import numpy as np
 import pytest
 
+from ebssc import cli, network
 from ebssc.checkpoint import Checkpoint, load_checkpoint, \
     read_tensor_file, save_checkpoint
 from ebssc.cli import main
@@ -159,6 +160,34 @@ class TestEncode:
         _, tensors = read_tensor_file(str(out))
         assert "code.block2.class4" in tensors
         assert "code.block2.class5" not in tensors
+
+    def test_runs_one_forward_pass(self, trained, digits_dir, tmp_path,
+                                   monkeypatch):
+        """encode scores the image once, and the energies it writes are
+        the breakdown's own."""
+        seen = []
+
+        def counting(params, spec, x, *args, **kwargs):
+            seen.append((params, spec, x))
+            return real(params, spec, x, *args, **kwargs)
+
+        real = network.forward
+        monkeypatch.setattr(network, "forward", counting)
+        monkeypatch.setattr(cli, "forward", counting)
+        out = tmp_path / "once.codes"
+        rc = main(["encode", "--ckpt", str(trained),
+                   "--image",
+                   str(digits_dir / "t10k-images-idx3-ubyte"),
+                   "--index", "3", "--out", str(out)])
+        assert rc == 0
+        assert len(seen) == 1
+        monkeypatch.undo()
+        want = network.class_energy_breakdown(*seen[0])
+        _, tensors = read_tensor_file(str(out))
+        for name in ("e_code", "e_class", "e_total", "l1_of_code",
+                     "recon_inner"):
+            np.testing.assert_array_equal(tensors[f"energy.{name}"],
+                                          getattr(want, name)[0])
 
     def test_bad_class_is_usage_error(self, trained, digits_dir, tmp_path):
         """An out-of-range class id exits 1."""

@@ -9,6 +9,7 @@ from ebssc.config import variant_spec
 from ebssc.network import BlockSpec, NetworkSpec, block_shapes, build, \
     class_energy_breakdown, decode, decode_class_bias, decode_residual, \
     forward, unrolled_infer
+from ebssc.tape import Ops
 
 import reference
 
@@ -215,7 +216,8 @@ class TestForwardEnergy:
         _stacked_energy_spec()], ids=["toy", "bias_maps", "stacked"])
     def test_scores_are_the_explicit_energy(self, spec):
         """Each energy block scores ||z~||_2, which is its explicit energy
-        <v, z> - beta_plus.z+ + beta_minus.z- at the recorded code."""
+        <v, z> - beta_plus.z+ + beta_minus.z- at the recorded code; the
+        energy op without a norm evaluates that explicit form."""
         params = _generic_params(spec)
         x = np.random.default_rng(42).standard_normal(
             (2,) + spec.input_shape)
@@ -228,8 +230,12 @@ class TestForwardEnergy:
             bp, bm = (np.asarray(t, dtype=np.float64)
                       for t in fwd.thresholds[i])
             z = np.asarray(fwd.codes[i], dtype=np.float64)
-            e = v * z - bp * np.maximum(z, 0) + bm * np.minimum(z, 0)
-            explicit = explicit + e.sum(axis=(-3, -2, -1))
+            e = (v * z - bp * np.maximum(z, 0) + bm * np.minimum(z, 0)).sum(
+                axis=(-3, -2, -1))
+            op = Ops().energy(fwd.correlations[i], *fwd.thresholds[i],
+                              fwd.codes[i])
+            np.testing.assert_allclose(op, e, rtol=1e-12)
+            explicit = explicit + e
         assert (explicit > 0).any()
         np.testing.assert_allclose(fwd.scores, explicit, rtol=1e-12,
                                    atol=1e-14)

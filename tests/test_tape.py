@@ -165,17 +165,6 @@ class TestNonlinearOps:
 
         _gradcheck(fn, v)
 
-    def test_negpart(self):
-        """min(x, 0) passes gradients on the negative side only."""
-        rng = np.random.default_rng(42)
-        v = _away_from_kinks(rng.standard_normal((3, 4, 4)), [0.0])
-        u = rng.standard_normal((3, 4, 4))
-
-        def fn(ops, x):
-            return ops.sum_all(ops.mul(ops.negpart(x), ops.leaf(u)))
-
-        _gradcheck(fn, v)
-
     def test_split(self):
         """The channel split is two masked identities stacked."""
         rng = np.random.default_rng(42)
@@ -310,6 +299,64 @@ class TestEnergyOp:
             ops, ops.leaf(v), ops.leaf(bp), x, w), bm)
         assert (got[1] == 0).all()
 
+    @staticmethod
+    def _explicit_case():
+        """A code that is no block's optimum, zero where |z| < 0.3, and
+        the same code moved off zero for finite differences in z."""
+        v, bp, bm, w = TestEnergyOp._case()
+        z = np.random.default_rng(7).standard_normal(v.shape)
+        off_kink = _away_from_kinks(z, [0.0])
+        z[np.abs(z) < 0.3] = 0.0
+        return v, bp, bm, z, off_kink, w
+
+    @staticmethod
+    def _weighted_explicit(ops, v, bp, bm, z, w):
+        return ops.sum_all(ops.mul(ops.energy(v, bp, bm, z), ops.leaf(w)))
+
+    def test_explicit_value(self):
+        """Without a norm the value is <v, z> - beta_plus.z+ +
+        beta_minus.z- at the given code, per hypothesis."""
+        v, bp, bm, z, _, _ = self._explicit_case()
+        e = PlainOps().energy(v, bp, bm, z)
+        want = (v * z - bp * np.maximum(z, 0) + bm * np.minimum(z, 0)).sum(
+            axis=(-3, -2, -1))
+        assert e.shape == (2, 2) and e.dtype == np.float64
+        np.testing.assert_allclose(e, want, rtol=1e-12)
+
+    def test_explicit_wrt_correlation(self):
+        """d/dv of the explicit form is the code z."""
+        v, bp, bm, z, _, w = self._explicit_case()
+        _gradcheck(lambda ops, x: self._weighted_explicit(
+            ops, x, ops.leaf(bp), ops.leaf(bm), ops.leaf(z), w), v)
+
+    def test_explicit_wrt_upper_threshold(self):
+        """d/dbeta_plus of the explicit form is -z+."""
+        v, bp, bm, z, _, w = self._explicit_case()
+        _gradcheck(lambda ops, x: self._weighted_explicit(
+            ops, ops.leaf(v), x, ops.leaf(bm), ops.leaf(z), w), bp)
+
+    def test_explicit_wrt_lower_threshold(self):
+        """d/dbeta_minus of the explicit form is z-."""
+        v, bp, bm, z, _, w = self._explicit_case()
+        _gradcheck(lambda ops, x: self._weighted_explicit(
+            ops, ops.leaf(v), ops.leaf(bp), x, ops.leaf(z), w), bm)
+
+    def test_explicit_wrt_code(self):
+        """d/dz of the explicit form is v - beta_plus.[z > 0] +
+        beta_minus.[z < 0], probed off z = 0; at z = 0 it is v."""
+        v, bp, bm, z, off_kink, w = self._explicit_case()
+        _gradcheck(lambda ops, x: self._weighted_explicit(
+            ops, ops.leaf(v), ops.leaf(bp), ops.leaf(bm), x, w), off_kink)
+        tape = Tape()
+        ops = TapeOps(tape)
+        code = ops.leaf(z)
+        tape.backward(self._weighted_explicit(
+            ops, ops.leaf(v), ops.leaf(bp), ops.leaf(bm), code, w))
+        dead = z == 0
+        assert dead.any()
+        np.testing.assert_array_equal(
+            code.grad[dead], (w[..., None, None, None] * v)[dead])
+
 
 class TestPoolingOps:
     """Max pooling and its inverses with frozen switches."""
@@ -355,16 +402,6 @@ class TestPoolingOps:
 
 class TestReductionsAndHead:
     """Reductions, the linear head, and the classification loss."""
-
-    def test_sum_spatial(self):
-        """Spatial sums keep the channel axis."""
-        rng = np.random.default_rng(42)
-        u = rng.standard_normal(3)
-
-        def fn(ops, x):
-            return ops.sum_all(ops.mul(ops.sum_spatial(x), ops.leaf(u)))
-
-        _gradcheck(fn, rng.standard_normal((3, 4, 4)))
 
     def test_sumsq(self):
         """d(sum x^2)/dx = 2x."""
