@@ -38,7 +38,7 @@ def main():
     at = max(i for i, b in enumerate(spec.blocks) if b.kind == "ebssc")
 
     x = xte[:1]
-    fwd = forward(params, spec, x)
+    fwd = forward(params, spec, x, switches=True)
     bias_tiles = [decode_class_bias(params, spec, y, at, fwd.switches)[0, 0]
                   for y in range(10)]
     emit_image_grid([bias_tiles], args.bias_out)

@@ -241,7 +241,7 @@ def _cmd_decode(args):
 
     if args.mode == "recon":
         neutral = _zero_class_bias(ckpt.params, spec)
-        fwd = forward(neutral, spec, x)
+        fwd = forward(neutral, spec, x, switches=True)
         # every hypothesis codes alike with zero class bias; take the first
         code = fwd.hypothesis(0, layer, np.asarray(fwd.codes[layer])[0])
         switches = {k: fwd.hypothesis(0, k, v[0])
@@ -251,7 +251,7 @@ def _cmd_decode(args):
         if spec.blocks[layer].kind != "ebssc":
             raise _UsageExit(f"--mode bias needs an energy block; block "
                              f"{layer} is {spec.blocks[layer].kind}")
-        fwd = forward(ckpt.params, spec, x)
+        fwd = forward(ckpt.params, spec, x, switches=True)
         grid = [[decode_class_bias(ckpt.params, spec, y, layer,
                                    {k: fwd.hypothesis(y, k, v[0])
                                     for k, v in fwd.switches.items()})

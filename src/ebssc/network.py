@@ -219,7 +219,9 @@ class ForwardResult:
     included from ``class_axis_at`` on, dropout mask applied in train
     mode) and ``thresholds[i]`` its (beta_plus, beta_minus); all are
     arrays under ``Ops()`` and tape nodes under ``Ops(tape)``.
-    ``switches[j]`` holds pool block j's argmax switches."""
+    ``switches[j]`` holds pool block j's argmax switches when
+    ``forward`` was asked for them (``switches=True``), and is empty
+    otherwise."""
 
     codes: dict = field(default_factory=dict)
     switches: dict = field(default_factory=dict)
@@ -252,7 +254,8 @@ def _insert_class_axis(ops, t):
     return ops.reshape(t, shape[:-3] + (1,) + shape[-3:])
 
 
-def forward(params, spec, x, mode="eval", ops=None, rng=None):
+def forward(params, spec, x, mode="eval", ops=None, rng=None,
+            switches=False):
     """Run the network.  With the energy classifier the class hypothesis
     axis is vectorized: activations from the first ebssc block on gain a
     class dimension at -4, and scores cover every class.  One hypothesis
@@ -261,6 +264,12 @@ def forward(params, spec, x, mode="eval", ops=None, rng=None):
     ||z~||_2 to the score, where z~ is the pre-projection code, so a
     hypothesis whose z~ is all zero at a block has a zero code there and
     that block adds 0.
+
+    ``switches=True`` records each pool block's argmax switches in the
+    result, for callers that decode or unroll through them.  Scoring never
+    reads them, so by default an untaped pass does not compute them (they
+    cost about three times the pooling itself); a taped pass computes them
+    inside its pool nodes either way, for the backward pass.
 
     Raises ShapeError when x's trailing (C, H, W) is not the spec's input
     shape, DataError when x holds a non-finite value, and
@@ -294,8 +303,9 @@ def forward(params, spec, x, mode="eval", ops=None, rng=None):
             t = ops.dropout(t, mask)
 
         if b.kind in POOL_KINDS:
-            t, sw = ops.maxpool(t, b.kernel[0], b.stride, b.pad)
-            res.switches[i] = sw
+            t, sw = ops.maxpool(t, b.kernel[0], b.stride, b.pad, switches)
+            if switches:
+                res.switches[i] = sw
         elif b.kind == "relu":
             v = ops.correlate(t, params[f"block{i}.bank"], b.pad)
             v = ops.add(v, ops.reshape(params[f"block{i}.bias"],
@@ -406,7 +416,8 @@ def unrolled_infer(params, spec, x, T, mode="eval", ops=None, rng=None):
                                for i in segment):
         raise ValueError("train-mode unrolling does not support dropout "
                          "in the coding segment")
-    fwd = forward(params, spec, x, mode=mode, ops=ops, rng=rng)
+    fwd = forward(params, spec, x, mode=mode, ops=ops, rng=rng,
+                  switches=True)
 
     # Start from forward's per-block state; freeze the pool path between.
     states = []
@@ -461,8 +472,10 @@ def unrolled_infer(params, spec, x, T, mode="eval", ops=None, rng=None):
     trace = []
     for sweep in range(T + 1):
         if sweep > 0:
-            for pos in range(last, -1, -1):
-                resolve(pos, feedback_into(pos) if pos < last else None)
+            # The top block already holds the code of its current v, from
+            # forward or the last bottom-up step, so top-down starts below.
+            for pos in range(last - 1, -1, -1):
+                resolve(pos, feedback_into(pos))
             for pos in range(1, last + 1):
                 refresh_v(pos)
                 resolve(pos, feedback_into(pos) if pos < last else None)
@@ -494,7 +507,8 @@ def decode(params, spec, code, from_block, switches):
         b = spec.blocks[i]
         if b.kind in POOL_KINDS:
             if i not in switches:
-                raise ValueError(f"missing pool switches for block {i}")
+                raise ValueError(f"missing pool switches for block {i}; "
+                                 "forward records them with switches=True")
             hw = _pre_pool_hw(spec, i)
             t = tensor.max_unpool(t, switches[i], b.kernel[0], b.stride,
                                   b.pad, hw)
@@ -531,7 +545,7 @@ def decode_residual(params, spec, x, y, at_block):
     """Decode block ``at_block``'s codes under hypothesis y, minus the
     decoded class-bias contribution.  Hypothesis y is sliced from the
     vectorized pass."""
-    fwd = forward(params, spec, x)
+    fwd = forward(params, spec, x, switches=True)
     code = fwd.hypothesis(y, at_block, fwd.codes[at_block])
     switches = {j: fwd.hypothesis(y, j, sw) for j, sw in fwd.switches.items()}
     img = decode(params, spec, code, at_block, switches)

@@ -29,8 +29,10 @@ Without the norm, the energy is evaluated explicitly at any code z, as
 unrolled inference needs: one node that also has z as a parent.
 
 A backward rule reads its parents' recorded values; what it keeps from
-record time is the rectifiers' sign masks and the pooling switches.
-Reductions that feed energies accumulate in float64.
+record time is the rectifiers' sign masks and the pooling switches.  A
+taped ``maxpool`` always computes its switches for that reason; an
+untaped one computes them only when its caller asks.  Reductions that
+feed energies accumulate in float64.
 """
 
 from __future__ import annotations
@@ -193,8 +195,7 @@ class Ops:
         Returns (z, norm): norm is the plain float64 ||t||_2 per leading
         index, which ``energy`` takes as its value."""
         tv = _val(t)
-        norm = np.sqrt(np.einsum("...chw,...chw->...", tv, tv,
-                                 dtype=np.float64))
+        norm = np.sqrt(tensor.sq_norms(tv))
         n = norm.astype(tv.dtype)[..., None, None, None]
         safe = np.where(n > 0, n, 1)
         out = tv / safe
@@ -262,10 +263,15 @@ class Ops:
             _acc(t, g * mask)
         return self._out(np.maximum(_val(t), 0), (t,), bwd)
 
-    def maxpool(self, t, window, stride, pad):
-        """Returns (pooled, switches); the switches stay a plain array."""
-        out, switches = tensor.max_pool(_val(t), window, stride, pad,
-                                        return_switches=True)
+    def maxpool(self, t, window, stride, pad, switches=False):
+        """Returns (pooled, switches).  The switches are a plain array,
+        computed when asked for or when a tape records (the backward
+        routes through them), and None otherwise: they cost about three
+        times the pooling itself."""
+        keep = switches or self.tape is not None
+        pooled = tensor.max_pool(_val(t), window, stride, pad,
+                                 return_switches=keep)
+        out, switches = pooled if keep else (pooled, None)
 
         def bwd(g):
             _acc(t, tensor.max_unpool(g, switches, window, stride, pad,

@@ -50,6 +50,7 @@ __all__ = [
     "inner",
     "l1_norm",
     "l2_norm",
+    "sq_norms",
 ]
 
 
@@ -303,7 +304,18 @@ def l1_norm(a):
 
 def l2_norm(a):
     """Euclidean norm of the flattened array, accumulated in float64 by
-    the ``einsum`` reduction that the coder's projection uses, so a map
-    divided by its l2_norm is bitwise that projection's code."""
-    v = np.asarray(a).ravel()
-    return float(np.sqrt(np.einsum("i,i->", v, v, dtype=np.float64)))
+    the reduction that the coder's projection uses (``sq_norms``), so a
+    map divided by its l2_norm is bitwise that projection's code."""
+    return float(np.sqrt(sq_norms(np.reshape(a, (1, 1, -1)))))
+
+
+def sq_norms(t):
+    """Squared l2 norm of each trailing (C, H, W) map, accumulated in
+    float64.  A float64 map is summed as one contiguous row by numpy's
+    pairwise sum, whose result for a map does not depend on the leading
+    axes; ``einsum``'s does, past 8192 coefficients, so batch-1 codes
+    would differ from batched ones in the last bit.  Other dtypes keep the
+    ``einsum`` reduction, which needs no float64 copy of the map."""
+    if t.dtype == np.float64:
+        return np.sum(np.square(t.reshape(t.shape[:-3] + (-1,))), axis=-1)
+    return np.einsum("...chw,...chw->...", t, t, dtype=np.float64)

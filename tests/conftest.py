@@ -7,7 +7,7 @@ takes a while, and the desk-scale training tests all want the same data.
 import numpy as np
 import pytest
 
-from ebssc import data
+from ebssc import data, tensor
 
 
 def _as_batch(images):
@@ -35,3 +35,18 @@ def digits_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("digits")
     data.write_digits_idx(str(d), n_train=200, n_test=100, seed=7)
     return d
+
+
+@pytest.fixture
+def switch_requests(monkeypatch):
+    """The ``return_switches`` flag of every ``tensor.max_pool`` call made
+    while the test runs, in call order."""
+    asked = []
+    real = tensor.max_pool
+
+    def recording(*args, return_switches=False, **kwargs):
+        asked.append(return_switches)
+        return real(*args, return_switches=return_switches, **kwargs)
+
+    monkeypatch.setattr(tensor, "max_pool", recording)
+    return asked

@@ -269,6 +269,28 @@ class TestDecode:
         assert rc == 1
 
 
+class TestPoolSwitches:
+    """Only decoding asks forward for pool switches."""
+
+    @pytest.mark.parametrize("command, wanted", [
+        ("eval", {False}), ("encode", {False}), ("decode", {True})])
+    def test_requested_only_to_decode(self, trained, digits_dir, tmp_path,
+                                      switch_requests, command, wanted):
+        """Every max_pool call of a command asks for switches or none
+        does: eval and encode score, decode routes through them."""
+        image = ["--ckpt", str(trained), "--image",
+                 str(digits_dir / "t10k-images-idx3-ubyte")]
+        argv = {"eval": ["eval", "--ckpt", str(trained),
+                         "--data", str(digits_dir)],
+                "encode": ["encode", *image,
+                           "--out", str(tmp_path / "x.codes")],
+                "decode": ["decode", *image, "--layer", "2",
+                           "--mode", "recon",
+                           "--out", str(tmp_path / "x.ppm")]}[command]
+        assert main(argv) == 0
+        assert set(switch_requests) == wanted
+
+
 class TestCheckAndUsage:
     """The self-check command and global argument handling."""
 

@@ -12,6 +12,7 @@ from ebssc.learn import OptimizerState, TrainConfig, adam_step, backward, \
     dataset_objective, evaluate, loss, project_nonneg, train
 from ebssc.network import BlockSpec, NetworkSpec, build
 from ebssc.oracle import finite_diff
+from ebssc.tape import Ops, Tape
 
 from test_network import _stacked_energy_spec
 
@@ -128,6 +129,24 @@ class TestBackward:
             want = finite_diff(f, params[name].copy(), eps=1e-6)
             scale = max(np.abs(want).max(), 1e-8)
             assert np.abs(grads[name] - want).max() / scale < 1e-5, name
+
+    @pytest.mark.parametrize("unroll_T, nodes", [(0, 36), (1, 56), (2, 70)])
+    def test_tape_size(self, unroll_T, nodes):
+        """The nodes one loss records on the digit model: the 8 leaves,
+        the feed-forward pass, the regularizer and the loss, plus each
+        unrolled sweep's re-solves, refreshed correlations and energies.
+        The top block is re-solved once per sweep, on its way up."""
+        spec = variant_spec("digits_ssc_ebc2")
+        params = build(spec, seed=0)
+        rng = np.random.default_rng(42)
+        x = rng.random((4, 1, 28, 28)).astype(np.float32)
+        y = rng.integers(0, 10, 4)
+        tape = Tape()
+        ops = Ops(tape)
+        leaves = {k: ops.leaf(p) for k, p in params.items()}
+        loss(leaves, spec, x, y, TrainConfig(alpha=1e-4, unroll_T=unroll_T),
+             ops=ops)
+        assert len(tape.nodes) == nodes
 
     def test_loss_value_and_scores_returned(self):
         """backward reports the same loss as a plain evaluation."""

@@ -6,6 +6,7 @@ import pytest
 
 from ebssc import DataError, ImproperThresholdError, ShapeError
 from ebssc.config import variant_spec
+from ebssc.learn import evaluate
 from ebssc.network import BlockSpec, NetworkSpec, block_shapes, build, \
     class_energy_breakdown, decode, decode_class_bias, decode_residual, \
     forward, unrolled_infer
@@ -280,6 +281,53 @@ class TestForwardEnergy:
         with pytest.raises(DataError):
             forward(params, spec, x)
 
+    def test_switches_only_when_asked(self):
+        """An untaped pass records no pool switches unless asked, and
+        asking changes no code or score."""
+        for spec in (_toy_energy_spec(), variant_spec("digits_ssc_ebc2"),
+                     _toy_linear_spec()):
+            params = _generic_params(spec)
+            x = np.random.default_rng(42).standard_normal(
+                (3,) + spec.input_shape)
+            plain = forward(params, spec, x)
+            asked = forward(params, spec, x, switches=True)
+            assert plain.switches == {}
+            assert sorted(asked.switches) == [1]
+            np.testing.assert_array_equal(plain.scores, asked.scores)
+            assert sorted(plain.codes) == sorted(asked.codes)
+            for i, z in asked.codes.items():
+                np.testing.assert_array_equal(plain.codes[i], z)
+
+    def test_scoring_callers_skip_switches(self, switch_requests):
+        """Evaluation and the energy breakdown pool without switches;
+        unrolling asks for them."""
+        spec = variant_spec("digits_ssc_ebc2")
+        params = _generic_params(spec)
+        rng = np.random.default_rng(42)
+        x = rng.random((3, 1, 28, 28))
+        evaluate(params, spec, x, np.array([0, 1, 2]), batch_size=2)
+        class_energy_breakdown(params, spec, x)
+        assert switch_requests == [False] * 3
+        unrolled_infer(params, spec, x, T=1)
+        assert switch_requests[3:] == [True]
+
+    def test_batch_one_equals_batched_in_float64(self):
+        """Each image alone codes and scores bitwise as it does in a batch
+        of 8, in float64 too, where block 0's codes (12x28x28) have more
+        than 8192 coefficients."""
+        spec = variant_spec("digits_ssc_ebc2")
+        params = _generic_params(spec)
+        x = np.random.default_rng(7).random((8, 1, 28, 28))
+        batched = forward(params, spec, x)
+        assert batched.codes[0].dtype == np.float64
+        assert batched.codes[0][0].size > 8192
+        for n in range(len(x)):
+            alone = forward(params, spec, x[n:n + 1])
+            np.testing.assert_array_equal(alone.scores,
+                                          batched.scores[n:n + 1])
+            for i, z in batched.codes.items():
+                np.testing.assert_array_equal(alone.codes[i], z[n:n + 1])
+
     def test_train_dropout_needs_rng(self):
         """Train-mode dropout without a generator is an error."""
         blocks = (BlockSpec("relu", (4, 1, 3, 3), pad=1, dropout_rate=0.0),
@@ -363,7 +411,7 @@ class TestDecode:
         spec = _toy_energy_spec()
         params = _generic_params(spec)
         x = np.random.default_rng(42).standard_normal((1, 1, 8, 8))
-        res = forward(params, spec, x)
+        res = forward(params, spec, x, switches=True)
         img = decode(params, spec, res.codes[2][:, 0], 2, res.switches)
         assert img.shape == (1, 1, 8, 8)
         assert np.isfinite(img).all()
@@ -373,7 +421,7 @@ class TestDecode:
         spec = _toy_energy_spec()
         params = _generic_params(spec)
         x = np.random.default_rng(42).standard_normal((1, 1, 8, 8))
-        res = forward(params, spec, x)
+        res = forward(params, spec, x, switches=True)
         code = res.codes[2][:, 1]
         a = decode(params, spec, code, 2, res.switches)
         b = decode(params, spec, 2.0 * code, 2, res.switches)
@@ -386,12 +434,22 @@ class TestDecode:
         with pytest.raises(ValueError):
             decode(params, spec, np.zeros((4, 4, 4)), 1, {})
 
+    def test_unasked_pass_cannot_decode_through_pools(self):
+        """A pass run without switches=True holds no pool switches, and
+        decoding through a pool says how to record them."""
+        spec = _toy_energy_spec()
+        params = _generic_params(spec)
+        x = np.random.default_rng(42).standard_normal((1, 1, 8, 8))
+        res = forward(params, spec, x)
+        with pytest.raises(ValueError, match="switches=True"):
+            decode(params, spec, res.codes[2][:, 0], 2, res.switches)
+
     def test_class_bias_decode_shapes(self):
         """The threshold bias pattern decodes to an input-shaped map."""
         spec = _toy_energy_spec()
         params = _generic_params(spec)
         x = np.random.default_rng(42).standard_normal((1, 1, 8, 8))
-        res = forward(params, spec, x)
+        res = forward(params, spec, x, switches=True)
         for y in range(3):
             img = decode_class_bias(params, spec, y, 2, res.switches)
             assert img.shape[-3:] == (1, 8, 8)
@@ -408,7 +466,7 @@ class TestDecode:
         spec = _toy_energy_spec()
         params = _generic_params(spec)
         x = np.random.default_rng(42).standard_normal((1, 1, 8, 8))
-        res = forward(params, spec, x)
+        res = forward(params, spec, x, switches=True)
         total = decode(params, spec, res.codes[2][:, 2], 2, res.switches)
         bias = decode_class_bias(params, spec, 2, 2, res.switches)
         residual = decode_residual(params, spec, x, 2, 2)
@@ -426,7 +484,7 @@ class TestDecode:
                            num_classes=3, input_shape=(1, 8, 8))
         params = _generic_params(spec)
         x = np.random.default_rng(42).standard_normal((2, 1, 8, 8))
-        res = forward(params, spec, x)
+        res = forward(params, spec, x, switches=True)
         assert res.switches[1].shape[:2] == (2, 3)
         for y in range(3):
             switches = {1: res.switches[1][:, y]}
