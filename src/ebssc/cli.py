@@ -238,6 +238,9 @@ def _cmd_decode(args):
         coding = [i for i, b in enumerate(spec.blocks)
                   if b.kind in CODING_KINDS]
         raise _UsageExit(f"--layer must be a coding block, one of {coding}")
+    if args.mode != "recon" and spec.blocks[layer].kind != "ebssc":
+        raise _UsageExit(f"--mode {args.mode} needs an energy block; block "
+                         f"{layer} is {spec.blocks[layer].kind}")
 
     if args.mode == "recon":
         neutral = _zero_class_bias(ckpt.params, spec)
@@ -248,9 +251,6 @@ def _cmd_decode(args):
                     for k, v in fwd.switches.items()}
         grid = [[decode(ckpt.params, spec, code, layer, switches)]]
     elif args.mode == "bias":
-        if spec.blocks[layer].kind != "ebssc":
-            raise _UsageExit(f"--mode bias needs an energy block; block "
-                             f"{layer} is {spec.blocks[layer].kind}")
         fwd = forward(ckpt.params, spec, x, switches=True)
         grid = [[decode_class_bias(ckpt.params, spec, y, layer,
                                    {k: fwd.hypothesis(y, k, v[0])

@@ -50,6 +50,7 @@ import numpy as np
 
 from . import tensor
 from .coder import arm_thresholds
+from .energy import EnergyBreakdown
 from .errors import DataError, ImproperThresholdError, ShapeError
 from .shrinkage import ThresholdPair
 from .tape import Ops
@@ -164,12 +165,6 @@ def block_shapes(spec):
     return shapes
 
 
-def _code_hw(spec, i):
-    cin, h, w = ((spec.input_shape,) + tuple(block_shapes(spec)))[i]
-    b = spec.blocks[i]
-    return (h - b.kernel[2] + 1 + 2 * b.pad, w - b.kernel[3] + 1 + 2 * b.pad)
-
-
 def build(spec, seed, dtype=np.float32):
     """Initialize parameters: banks ~ N(0, 2/fan_in); coding thresholds
     from each block's beta (arm widths = beta, offset 0); ebssc class arms
@@ -193,8 +188,7 @@ def build(spec, seed, dtype=np.float32):
             params[f"block{i}.w_minus"] = np.full(k, b.beta, dtype=dtype)
             params[f"block{i}.offset"] = np.zeros(k, dtype=dtype)
         else:
-            hw = _code_hw(spec, i) if b.bias_maps else ()
-            shape = (y, k) + hw
+            shape = (y, k) + (shapes[i][1:] if b.bias_maps else ())
             params[f"block{i}.w_plus"] = np.full(shape, PARAM_INIT_ARM,
                                                  dtype=dtype)
             params[f"block{i}.w_minus"] = np.full(shape, PARAM_INIT_ARM,
@@ -378,25 +372,6 @@ class UnrollResult:
     energy_trace: list = field(default_factory=list)
 
 
-def _segment_energy(ops, states):
-    """Joint segment energy: sum of <v, z> - P(z) over coding blocks.
-    Returns (total, the ebssc blocks' terms).
-
-    Blocks below the first class-conditional one contribute a term with
-    no class axis; those are given a trailing singleton so the sum
-    broadcasts to one energy per class hypothesis."""
-    terms = [ops.energy(st["v"], st["bp"], st["bm"], st["z"])
-             for st in states]
-    width = max(t.shape[-1] if len(t.shape) > 1 else 1 for t in terms)
-    total = None
-    for term in terms:
-        if len(term.shape) == 1 and width > 1:
-            term = ops.reshape(term, term.shape + (1,))
-        total = term if total is None else ops.add(total, term)
-    return total, [term for st, term in zip(states, terms)
-                   if st["spec"].kind == "ebssc"]
-
-
 def unrolled_infer(params, spec, x, T, mode="eval", ops=None, rng=None):
     """T sweeps of block-coordinate ascent over the trailing coding
     blocks.  T=0 reproduces forward() exactly; each sweep updates codes
@@ -418,82 +393,80 @@ def unrolled_infer(params, spec, x, T, mode="eval", ops=None, rng=None):
                          "in the coding segment")
     fwd = forward(params, spec, x, mode=mode, ops=ops, rng=rng,
                   switches=True)
+    shapes = block_shapes(spec)
 
-    # Start from forward's per-block state; freeze the pool path between.
-    states = []
-    for pos, i in enumerate(segment):
-        b = spec.blocks[i]
-        above = segment[pos + 1] if pos + 1 < len(segment) else i + 1
-        pools = [(j, spec.blocks[j], fwd.switches[j])
-                 for j in range(i + 1, above)
-                 if spec.blocks[j].kind in POOL_KINDS]
-        bp, bm = fwd.thresholds[i]
-        states.append({"block": i, "spec": b, "v": fwd.correlations[i],
-                       "bp": bp, "bm": bm, "z": fwd.codes[i],
-                       "pools": pools, "k": b.kernel[0]})
+    # Start from forward's record, keyed by block.  A block coded below
+    # the class axis joins it here, so its energy and the feedback it
+    # receives broadcast per class hypothesis.
+    v = {i: fwd.correlations[i] for i in segment}
+    z = {i: fwd.codes[i] for i in segment}
+    for i in segment:
+        if i < fwd.class_axis_at:
+            v[i] = _insert_class_axis(ops, v[i])
+            z[i] = _insert_class_axis(ops, z[i])
 
-    def resolve(pos, feedback):
-        st = states[pos]
-        if feedback is None:
-            zt = ops.branch_code(st["v"], st["bp"], st["bm"])
-        else:
-            cp, cm = feedback
-            if len(st["v"].shape) < len(cp.shape):
-                # Class-conditional feedback reached a block coded before
-                # the class axis existed; lift its linear term so every
-                # later use broadcasts per class hypothesis.
-                st["v"] = _insert_class_axis(ops, st["v"])
-            zt = ops.branch_code(st["v"], st["bp"], st["bm"], cp, cm)
-        st["z"] = ops.normalize(zt)[0]
+    def resolve(i, above):
+        """Re-solve block i's code, with feedback from block ``above``."""
+        bonus = ()
+        if above is not None:
+            r = _descend(ops, params, spec, z[above], above, fwd.switches,
+                         shapes)
+            k = spec.blocks[i].kernel[0]
+            bonus = (ops.chan_slice(r, 0, k), ops.chan_slice(r, k, 2 * k))
+        z[i] = ops.normalize(ops.branch_code(v[i], *fwd.thresholds[i],
+                                             *bonus))[0]
 
-    def feedback_into(pos):
-        """Split-space bonus terms for block `pos` from the block above."""
-        upper = states[pos + 1]
-        ub = upper["spec"]
-        r = ops.reconstruct(upper["z"], params[f"block{upper['block']}.bank"],
-                            ub.pad)
-        for j, bj, sw in reversed(states[pos]["pools"]):
-            hw = _pre_pool_hw(spec, j)
-            r = ops.maxunpool(r, sw, bj.kernel[0], bj.stride, bj.pad, hw)
-        k = states[pos]["k"]
-        return ops.chan_slice(r, 0, k), ops.chan_slice(r, k, 2 * k)
+    def refresh(i, below):
+        """Recompute block i's linear term from the code of ``below``
+        through the frozen pools between them."""
+        t = ops.split(z[below])
+        for j in range(below + 1, i):
+            b = spec.blocks[j]
+            t = ops.switch_pool(t, fwd.switches[j], b.kernel[0], b.stride,
+                                b.pad)
+        v[i] = ops.correlate(t, params[f"block{i}.bank"], spec.blocks[i].pad)
 
-    def refresh_v(pos):
-        """Recompute block `pos`'s linear term from the code below."""
-        below = states[pos - 1]
-        t = ops.split(below["z"])
-        for j, bj, sw in below["pools"]:
-            t = ops.switch_pool(t, sw, bj.kernel[0], bj.stride, bj.pad)
-        st = states[pos]
-        st["v"] = ops.correlate(t, params[f"block{st['block']}.bank"],
-                                st["spec"].pad)
-
-    last = len(states) - 1
+    above = dict(zip(segment, segment[1:] + [None]))
     trace = []
     for sweep in range(T + 1):
         if sweep > 0:
             # The top block already holds the code of its current v, from
             # forward or the last bottom-up step, so top-down starts below.
-            for pos in range(last - 1, -1, -1):
-                resolve(pos, feedback_into(pos))
-            for pos in range(1, last + 1):
-                refresh_v(pos)
-                resolve(pos, feedback_into(pos) if pos < last else None)
-        total, energy_terms = _segment_energy(ops, states)
-        trace.append(np.asarray(ops.value(total), dtype=np.float64))
+            for i in reversed(segment[:-1]):
+                resolve(i, above[i])
+            for below, i in zip(segment, segment[1:]):
+                refresh(i, below)
+                resolve(i, above[i])
+        terms = [ops.energy(v[i], *fwd.thresholds[i], z[i])
+                 for i in segment]
+        trace.append(np.asarray(ops.value(ops.add_n(terms)),
+                                dtype=np.float64))
 
     if T == 0:
-        scores = fwd.scores
-    else:
-        scores = ops.add_n(energy_terms) if energy_terms else None
-    codes = {st["block"]: st["z"] for st in states}
-    return UnrollResult(codes=codes, scores=scores, energy_trace=trace)
+        return UnrollResult(codes={i: fwd.codes[i] for i in segment},
+                            scores=fwd.scores, energy_trace=trace)
+    energy_terms = [term for i, term in zip(segment, terms)
+                    if spec.blocks[i].kind == "ebssc"]
+    scores = ops.add_n(energy_terms) if energy_terms else None
+    return UnrollResult(codes=z, scores=scores, energy_trace=trace)
 
 
-def _pre_pool_hw(spec, j):
-    shapes = block_shapes(spec)
-    prev = shapes[j - 1] if j > 0 else spec.input_shape
-    return prev[1], prev[2]
+def _descend(ops, params, spec, t, i, switches, shapes):
+    """Reconstruct code t through block i's bank, then un-pool it through
+    the pool blocks directly below block i along their recorded switches:
+    t's image in the output space of the conv block below (or the
+    input).  ``shapes`` is ``block_shapes(spec)``."""
+    t = ops.reconstruct(t, params[f"block{i}.bank"], spec.blocks[i].pad)
+    for j in range(i - 1, -1, -1):
+        b = spec.blocks[j]
+        if b.kind not in POOL_KINDS:
+            break
+        if j not in switches:
+            raise ValueError(f"missing pool switches for block {j}; "
+                             "forward records them with switches=True")
+        hw = (shapes[j - 1] if j > 0 else spec.input_shape)[1:]
+        t = ops.maxunpool(t, switches[j], b.kernel[0], b.stride, b.pad, hw)
+    return t
 
 
 def decode(params, spec, code, from_block, switches):
@@ -502,22 +475,16 @@ def decode(params, spec, code, from_block, switches):
     split channels by summation (the adjoint of the fixed-sign split)."""
     if spec.blocks[from_block].kind not in CODING_KINDS:
         raise ValueError(f"block {from_block} is not a coding block")
-    t = np.asarray(code)
-    for i in range(from_block, -1, -1):
+    ops, shapes = Ops(), block_shapes(spec)
+    t = _descend(ops, params, spec, np.asarray(code), from_block, switches,
+                 shapes)
+    for i in range(from_block - 1, -1, -1):
         b = spec.blocks[i]
-        if b.kind in POOL_KINDS:
-            if i not in switches:
-                raise ValueError(f"missing pool switches for block {i}; "
-                                 "forward records them with switches=True")
-            hw = _pre_pool_hw(spec, i)
-            t = tensor.max_unpool(t, switches[i], b.kernel[0], b.stride,
-                                  b.pad, hw)
-            continue
-        if i != from_block:
+        if b.kind in CONV_KINDS:
             k = b.kernel[0]
             if b.kind in SPLIT_KINDS:
                 t = t[..., :k, :, :] + t[..., k:, :, :]
-        t = tensor.reconstruct(t, params[f"block{i}.bank"], b.pad)
+            t = _descend(ops, params, spec, t, i, switches, shapes)
     return t
 
 
@@ -533,7 +500,7 @@ def decode_class_bias(params, spec, y, at_block, switches):
     off = np.asarray(params[f"block{at_block}.offset"], dtype=np.float64)
     if wp.ndim == 1:
         field_ = (wm - wp) / 2.0 - off
-        hw = _code_hw(spec, at_block)
+        hw = block_shapes(spec)[at_block][1:]
         pattern = np.broadcast_to(field_[:, None, None],
                                   (field_.shape[0],) + hw).copy()
     else:
@@ -567,7 +534,6 @@ def class_energy_breakdown(params, spec, x):
 
 def _energy_breakdown(params, spec, fwd):
     """``class_energy_breakdown`` of the pass ``fwd`` already ran."""
-    from .energy import EnergyBreakdown
     ops = Ops()
     e_total, recon, offset, l1 = np.zeros((4,) + np.shape(fwd.scores))
     sums = (-3, -2, -1)

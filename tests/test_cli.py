@@ -258,6 +258,17 @@ class TestDecode:
                    "--out", str(tmp_path / "x.ppm")])
         assert rc == 1
 
+    @pytest.mark.parametrize("mode", ["bias", "residual"])
+    def test_class_bias_modes_need_energy_block(self, trained, digits_dir,
+                                                tmp_path, mode):
+        """Block 0 codes but carries no class bias: exit 1, no traceback."""
+        rc = main(["decode", "--ckpt", str(trained),
+                   "--image",
+                   str(digits_dir / "t10k-images-idx3-ubyte"),
+                   "--layer", "0", "--mode", mode,
+                   "--out", str(tmp_path / "x.ppm")])
+        assert rc == 1
+
     def test_unknown_mode_is_usage_error(self, trained, digits_dir,
                                          tmp_path):
         """argparse choices funnel into exit code 1."""

@@ -4,7 +4,7 @@ unrolled refinement, and deconvolutional decoding."""
 import numpy as np
 import pytest
 
-from ebssc import DataError, ImproperThresholdError, ShapeError
+from ebssc import DataError, ImproperThresholdError, ShapeError, tensor
 from ebssc.config import variant_spec
 from ebssc.learn import evaluate
 from ebssc.network import BlockSpec, NetworkSpec, block_shapes, build, \
@@ -33,6 +33,19 @@ def _stacked_energy_spec(beta=0.15):
               BlockSpec("ebssc", (2, 6, 3, 3), pad=1, beta=beta))
     return NetworkSpec(blocks=blocks, classifier=("energy", 1),
                        num_classes=3, input_shape=(1, 6, 6))
+
+
+def _stacked_pool_spec(beta=0.15):
+    """maxpool -> ssc -> maxpool -> maxpool -> ebssc on 1x16x16 inputs,
+    three classes: a pool at block 0 and two consecutive pools between
+    the coding blocks."""
+    blocks = (BlockSpec("maxpool", (2,), stride=2, pad=0),
+              BlockSpec("ssc", (4, 1, 3, 3), pad=1, beta=beta),
+              BlockSpec("maxpool", (2,), stride=2, pad=0),
+              BlockSpec("maxpool", (3,), stride=2, pad=1),
+              BlockSpec("ebssc", (3, 8, 3, 3), pad=1, beta=beta))
+    return NetworkSpec(blocks=blocks, classifier=("energy", 4),
+                       num_classes=3, input_shape=(1, 16, 16))
 
 
 def _toy_linear_spec():
@@ -348,7 +361,8 @@ class TestUnrolledInfer:
     def test_zero_sweeps_reproduce_forward(self):
         """T=0 equals the plain pass bitwise, also with stacked ebssc
         blocks."""
-        for spec in (_toy_energy_spec(), _stacked_energy_spec()):
+        for spec in (_toy_energy_spec(), _stacked_energy_spec(),
+                     _stacked_pool_spec()):
             params = _generic_params(spec)
             x = np.random.default_rng(42).standard_normal(
                 (2,) + spec.input_shape)
@@ -363,7 +377,8 @@ class TestUnrolledInfer:
     def test_energy_trace_is_nondecreasing(self):
         """Every sweep may only raise the joint segment energy, also with
         stacked ebssc blocks."""
-        for spec in (_toy_energy_spec(), _stacked_energy_spec()):
+        for spec in (_toy_energy_spec(), _stacked_energy_spec(),
+                     _stacked_pool_spec()):
             params = _generic_params(spec, seed=11)
             x = np.random.default_rng(42).standard_normal(
                 (3,) + spec.input_shape)
@@ -426,6 +441,28 @@ class TestDecode:
         a = decode(params, spec, code, 2, res.switches)
         b = decode(params, spec, 2.0 * code, 2, res.switches)
         np.testing.assert_allclose(b, 2.0 * a, atol=1e-10)
+
+    def test_decode_is_adjoint_of_the_frozen_up_path(self):
+        """<decode(z), u> = <z, U(u)>, where U is the up path with the
+        switches frozen: through a pool at block 0 and two consecutive
+        pools, with the split halves duplicated."""
+        spec = _stacked_pool_spec()
+        params = _generic_params(spec)
+        rng = np.random.default_rng(42)
+        x = rng.standard_normal((2, 1, 16, 16))
+        sw = forward(params, spec, x, switches=True).switches
+        z = rng.standard_normal((2, 3, 2, 2))
+        u = rng.standard_normal((2, 1, 16, 16))
+        up = tensor.switch_gather(u, sw[0], 2, 2, 0)
+        up = tensor.cross_correlate(up, params["block1.bank"], 1)
+        up = np.concatenate([up, up], axis=-3)
+        up = tensor.switch_gather(up, sw[2], 2, 2, 0)
+        up = tensor.switch_gather(up, sw[3], 3, 2, 1)
+        up = tensor.cross_correlate(up, params["block4.bank"], 1)
+        img = decode(params, spec, z, 4, sw)
+        assert img.shape == u.shape
+        np.testing.assert_allclose(np.sum(img * u), np.sum(z * up),
+                                   rtol=1e-12)
 
     def test_decode_from_pool_block_rejected(self):
         """Only coding blocks carry decodable codes."""
