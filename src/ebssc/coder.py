@@ -18,15 +18,16 @@ per-class arm widths and a shared channel offset (``ClassBiasParams``).
 
 This module holds the one coding step the networks run: the threshold
 rule ``arm_thresholds`` is what ``network.forward`` calls for every
-coding block, and the single-map encoders shrink and project with the
-same ``tape.Ops`` rules, so a one-block network's code is bitwise the
+coding block, and the single-map encoders shrink with the branch rule
+behind ``Ops.branch_code`` (``shrinkage.branch_code``) and project with
+``Ops.normalize``, so a one-block network's code is bitwise the
 encoder's.
 
 ``code_from_correlation`` additionally accepts signed linear bonus terms
-(c_plus on the positive part, c_minus on the negative part); these arise
-when a later layer's reconstruction feeds back through a split
-nonlinearity during unrolled inference.  With both bonuses zero it reduces
-exactly to shrink-then-normalize.
+(c_plus on the positive part, c_minus on the negative part): the two
+halves of the split-space feedback [z+; z-] that unrolled inference hands
+``Ops.branch_code`` whole.  With both bonuses zero it reduces exactly to
+shrink-then-normalize.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor
+from . import shrinkage, tensor
 from .shrinkage import ThresholdPair
 from .tape import Ops
 
@@ -131,10 +132,9 @@ class CodeResult:
 def code_from_correlation(v, thresholds, c_plus=None, c_minus=None):
     """Solve the coding problem given the correlation tensor directly."""
     thresholds.require_proper()
-    ops = Ops()
-    z_tilde = ops.branch_code(np.asarray(v), thresholds.beta_plus,
-                              thresholds.beta_minus, c_plus, c_minus)
-    code, norm = ops.normalize(z_tilde)
+    z_tilde = shrinkage.branch_code(v, thresholds.beta_plus,
+                                    thresholds.beta_minus, c_plus, c_minus)
+    code, norm = Ops().normalize(z_tilde)
     return CodeResult(code=code, pre_projection=z_tilde,
                       lambda_star=0.5 * float(norm),
                       thresholds_used=thresholds)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 from .learn import TrainConfig
-from .network import BlockSpec, NetworkSpec
+from .network import SPLIT_KINDS, BlockSpec, NetworkSpec
 
 __all__ = ["RunConfig", "parse_config", "serialize_config",
            "parse_network", "serialize_network", "variant_spec",
@@ -152,6 +152,8 @@ def parse_network(text):
             raise ConfigError(f"line {lineno}: expected block{len(blocks)}, "
                               f"got {key!r}")
         toks = rest.split()
+        if not toks:
+            raise ConfigError(f"line {lineno}: {key} names no block kind")
         kwargs = {"kind": toks[0]}
         for tok in toks[1:]:
             name, _, val = tok.partition("=")
@@ -200,8 +202,7 @@ def _seven_block(conv_kind, tail_kind, classifier, beta, dropout,
     side of each kernel depends on whether the preceding block splits.
     Dropout precedes every convolution except the first.
     """
-    split = conv_kind in ("crelu", "crelu_sn", "ssc")
-    grow = 2 if split else 1
+    grow = 2 if conv_kind in SPLIT_KINDS else 1
 
     def conv(kind, k_out, c_in, size, pad, drop):
         kw = dict(pad=pad, dropout_rate=drop)
@@ -226,7 +227,7 @@ def _seven_block(conv_kind, tail_kind, classifier, beta, dropout,
                        num_classes=10, input_shape=(3, 32, 32))
 
 
-def variant_spec(variant, beta=0.05, dropout=0.0, num_classes=10):
+def variant_spec(variant, beta=0.05, dropout=0.0):
     """Build the NetworkSpec for a named model variant."""
     if variant == "relu_lc7":
         return _seven_block("relu", "relu", ("linear", 8), beta, dropout)
@@ -246,6 +247,6 @@ def variant_spec(variant, beta=0.05, dropout=0.0, num_classes=10):
                   BlockSpec("ebssc", (24, 24, 3, 3), pad=1, beta=beta,
                             bias_maps=True))
         return NetworkSpec(blocks=blocks, classifier=("energy", 2),
-                           num_classes=num_classes, input_shape=(1, 28, 28))
+                           num_classes=10, input_shape=(1, 28, 28))
     raise ConfigError(f"unknown variant {variant!r}; choose from "
                       + ", ".join(VARIANTS))

@@ -74,7 +74,11 @@ def load_ppm(path):
         while pos < len(blob) and blob[pos:pos + 1].isspace():
             pos += 1
         if blob[pos:pos + 1] == b"#":
-            pos = blob.index(b"\n", pos) + 1
+            end = blob.find(b"\n", pos)
+            if end < 0:
+                raise DataError(f"{path}: PPM header comment at offset "
+                                f"{pos} runs to end of file")
+            pos = end + 1
             continue
         start = pos
         while pos < len(blob) and not blob[pos:pos + 1].isspace():

@@ -95,10 +95,16 @@ class BlockSpec:
                     f"got {self.kernel}")
             if self.stride != 1:
                 raise ValueError("conv blocks support stride 1 only")
+            if self.pad < 0:
+                raise ValueError(f"conv padding must be non-negative, "
+                                 f"got {self.pad}")
         else:
             if len(self.kernel) != 1:
                 raise ValueError(
                     f"pool kernel must be (window,), got {self.kernel}")
+        if min(self.kernel) < 1:
+            raise ValueError(
+                f"kernel dimensions must be positive, got {self.kernel}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must lie in [0, 1)")
         if not self.beta >= 0.0:
@@ -122,6 +128,12 @@ class NetworkSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "blocks", tuple(self.blocks))
+        if self.num_classes < 1:
+            raise ValueError(f"num_classes must be positive, got "
+                             f"{self.num_classes}")
+        if min(self.input_shape) < 1:
+            raise ValueError(f"input dimensions must be positive, got "
+                             f"{self.input_shape}")
         head, idx = self.classifier
         if head not in ("linear", "energy"):
             raise ValueError(f"unknown classifier kind {head!r}")
@@ -143,7 +155,8 @@ class NetworkSpec:
 
 
 def block_shapes(spec):
-    """Output (C, H, W) per block; raises on channel mismatches."""
+    """Output (C, H, W) per block; raises on channel mismatches, invalid
+    pool geometry and outputs that collapse below 1x1."""
     c, h, w = spec.input_shape
     shapes = []
     for i, b in enumerate(spec.blocks):
@@ -154,13 +167,13 @@ def block_shapes(spec):
                                  f"previous emits {c}", (cin,), (c,))
             h = h - kh + 1 + 2 * b.pad
             w = w - kw + 1 + 2 * b.pad
-            if h < 1 or w < 1:
-                raise ValueError(f"block {i} output collapsed to {h}x{w}")
             c = b.out_channels
         else:
             win = b.kernel[0]
             h = tensor.pool_output_size(h, win, b.stride, b.pad)
             w = tensor.pool_output_size(w, win, b.stride, b.pad)
+        if h < 1 or w < 1:
+            raise ValueError(f"block {i} output collapsed to {h}x{w}")
         shapes.append((c, h, w))
     return shapes
 
@@ -294,7 +307,7 @@ def forward(params, spec, x, mode="eval", ops=None, rng=None,
                 raise ValueError("train-mode dropout needs an rng")
             mask = _dropout_mask(rng, ops.value(t), b.dropout_rate,
                                  res.carries_class_axis(i - 1))
-            t = ops.dropout(t, mask)
+            t = ops.scale(t, mask)
 
         if b.kind in POOL_KINDS:
             t, sw = ops.maxpool(t, b.kernel[0], b.stride, b.pad, switches)
@@ -379,9 +392,9 @@ def unrolled_infer(params, spec, x, T, mode="eval", ops=None, rng=None):
     block's linear term from the codes below.  The reported energy trace
     is the joint segment energy after the initial pass and each sweep,
     evaluated explicitly every time (``Ops.energy`` without a norm, one
-    node per block and sweep); the scores are the ebssc terms of the last
-    sweep, or forward()'s closed-form scores when T=0.  Train mode
-    refuses a coding segment with dropout (see the module docstring)."""
+    node per block and sweep, summed off the tape); scores are the last
+    sweep's ebssc terms, or forward()'s closed-form scores when T=0.  Train
+    mode refuses a coding segment with dropout (see the module docstring)."""
     if not 0 <= T <= 4:
         raise ValueError(f"unroll depth must be in 0..4, got {T}")
     if ops is None:
@@ -407,14 +420,10 @@ def unrolled_infer(params, spec, x, T, mode="eval", ops=None, rng=None):
 
     def resolve(i, above):
         """Re-solve block i's code, with feedback from block ``above``."""
-        bonus = ()
-        if above is not None:
-            r = _descend(ops, params, spec, z[above], above, fwd.switches,
-                         shapes)
-            k = spec.blocks[i].kernel[0]
-            bonus = (ops.chan_slice(r, 0, k), ops.chan_slice(r, k, 2 * k))
+        r = None if above is None else _descend(
+            ops, params, spec, z[above], above, fwd.switches, shapes)
         z[i] = ops.normalize(ops.branch_code(v[i], *fwd.thresholds[i],
-                                             *bonus))[0]
+                                             r))[0]
 
     def refresh(i, below):
         """Recompute block i's linear term from the code of ``below``
@@ -439,7 +448,7 @@ def unrolled_infer(params, spec, x, T, mode="eval", ops=None, rng=None):
                 resolve(i, above[i])
         terms = [ops.energy(v[i], *fwd.thresholds[i], z[i])
                  for i in segment]
-        trace.append(np.asarray(ops.value(ops.add_n(terms)),
+        trace.append(np.asarray(sum(ops.value(term) for term in terms),
                                 dtype=np.float64))
 
     if T == 0:

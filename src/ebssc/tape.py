@@ -172,22 +172,28 @@ class Ops:
         return self._out(tensor.reconstruct(_val(z), _val(bank), pad),
                          (z, bank), bwd)
 
-    def branch_code(self, v, bp, bm, cp=None, cm=None):
+    def branch_code(self, v, bp, bm, feedback=None):
         """z_tilde of ``shrinkage.branch_code``; the caller guarantees a
-        proper pair when no bonuses are given."""
-        z = shrinkage.branch_code(_val(v), _val(bp), _val(bm), _val(cp),
-                                  _val(cm))
-        parents = (v, bp, bm) + tuple(p for p in (cp, cm) if p is not None)
+        proper pair when no feedback is given.  ``feedback`` is a
+        reconstruction into the split space [z+; z-] of v's K channels,
+        shape (..., 2K, H, W): its first K channels are the positive
+        arm's bonus and its last K the negative arm's."""
+        vv = _val(v)
+        bonus = ()
+        if feedback is not None:
+            fb, k = _val(feedback), vv.shape[-3]
+            bonus = (fb[..., :k, :, :], fb[..., k:, :, :])
+        z = shrinkage.branch_code(vv, _val(bp), _val(bm), *bonus)
+        parents = (v, bp, bm) + (() if feedback is None else (feedback,))
 
         def bwd(g):
             pos, neg = g * (z > 0), g * (z < 0)
             _acc(v, _unbroadcast(pos + neg, v.shape))
             _acc(bp, -_unbroadcast(pos, bp.shape))
             _acc(bm, _unbroadcast(neg, bm.shape))
-            if cp is not None:
-                _acc(cp, _unbroadcast(pos, cp.shape))
-            if cm is not None:
-                _acc(cm, _unbroadcast(neg, cm.shape))
+            if feedback is not None:
+                _acc(feedback, _unbroadcast(
+                    np.concatenate([pos, neg], axis=-3), feedback.shape))
         return self._out(z, parents, bwd)
 
     def normalize(self, t):
@@ -292,21 +298,6 @@ class Ops:
         return self._out(
             tensor.max_unpool(_val(t), switches, window, stride, pad, out_hw),
             (t,), bwd)
-
-    def dropout(self, t, mask):
-        def bwd(g):
-            _acc(t, g * mask)
-        return self._out(_val(t) * mask, (t,), bwd)
-
-    def chan_slice(self, t, start, stop):
-        sliced = _val(t)[..., start:stop, :, :]
-
-        def bwd(g):
-            g = _unbroadcast(np.asarray(g), sliced.shape)
-            full = np.zeros(t.shape, dtype=g.dtype)
-            full[..., start:stop, :, :] = g
-            _acc(t, full)
-        return self._out(sliced, (t,), bwd)
 
     def sum_all(self, t):
         def bwd(g):

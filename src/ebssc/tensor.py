@@ -166,15 +166,13 @@ def correlate_bank_grad(x, upstream, kernel_hw, pad=0):
 
 
 def pool_output_size(size, window, stride, pad):
-    """floor((size + 2*pad - window) / stride) + 1."""
-    return (size + 2 * pad - window) // stride + 1
-
-
-def _check_pool_args(window, stride, pad):
+    """floor((size + 2*pad - window) / stride) + 1.  Raises ValueError
+    unless window and stride are positive and 0 <= pad < window."""
     if window < 1 or stride < 1:
         raise ValueError(f"window/stride must be positive, got {window}/{stride}")
     if not 0 <= pad < window:
         raise ValueError(f"pool padding must satisfy 0 <= pad < window, got {pad}")
+    return (size + 2 * pad - window) // stride + 1
 
 
 def max_pool(x, window, stride=None, pad=0, return_switches=False):
@@ -186,7 +184,6 @@ def max_pool(x, window, stride=None, pad=0, return_switches=False):
     """
     x = _require_map(x)
     stride = window if stride is None else stride
-    _check_pool_args(window, stride, pad)
     ho = pool_output_size(x.shape[-2], window, stride, pad)
     wo = pool_output_size(x.shape[-1], window, stride, pad)
     if ho < 1 or wo < 1:

@@ -199,6 +199,37 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="network"):
             load_checkpoint(str(path))
 
+    @pytest.mark.parametrize("old, new", [
+        ("block2 = ebssc kernel=4x6x3x3 pad=1 stride=1 beta=0.1", "block2 ="),
+        ("kernel=4x6x3x3", "kernel=0x6x3x3"),
+        ("kernel=3x1x3x3 pad=1", "kernel=3x1x3x3 pad=-1"),
+        ("maxpool kernel=2", "maxpool kernel=0"),
+        ("maxpool kernel=2 pad=0", "maxpool kernel=2 pad=2"),
+        ("num_classes = 2", "num_classes = 0"),
+        ("input = 1x6x6", "input = 0x6x6")],
+        ids=["empty_block", "zero_kernel", "negative_conv_pad",
+             "zero_pool_window", "pool_pad_beyond_window", "zero_classes",
+             "zero_input"])
+    def test_unusable_network_text_is_refused(self, tmp_path, old, new):
+        """Network text that parses but describes no runnable network
+        (an empty block line, a kernel dimension or class count below 1,
+        negative conv padding, pool padding outside [0, window), an empty
+        input) is a CheckpointError at load, not a numpy failure at the
+        first forward pass."""
+        spec = NetworkSpec(
+            blocks=(BlockSpec("ssc", (3, 1, 3, 3), pad=1, beta=0.1),
+                    BlockSpec("maxpool", (2,), stride=2),
+                    BlockSpec("ebssc", (4, 6, 3, 3), pad=1, beta=0.1)),
+            classifier=("energy", 2), num_classes=2, input_shape=(1, 6, 6))
+        path = tmp_path / "run.ckpt"
+        save_checkpoint(str(path), Checkpoint(spec=spec,
+                                              params=build(spec, seed=0)))
+        text, tensors = read_tensor_file(str(path))
+        assert old in text
+        write_tensor_file(str(path), tensors, text=text.replace(old, new))
+        with pytest.raises(CheckpointError, match="network"):
+            load_checkpoint(str(path))
+
     @pytest.mark.parametrize("bad", [np.arange(2, dtype=np.int64),
                                      np.float64(4.0)],
                              ids=["two_integers", "float"])

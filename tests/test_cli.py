@@ -189,6 +189,17 @@ class TestEncode:
             np.testing.assert_array_equal(tensors[f"energy.{name}"],
                                           getattr(want, name)[0])
 
+    def test_unterminated_ppm_comment_exits_two(self, trained, tmp_path,
+                                                capsys):
+        """A PPM whose header comment runs to end of file is unreadable
+        data: exit 2 with the byte offset, not a traceback."""
+        img = tmp_path / "img.ppm"
+        img.write_bytes(b"P6\n# no newline")
+        rc = main(["encode", "--ckpt", str(trained), "--image", str(img),
+                   "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert "offset 3" in capsys.readouterr().err
+
     def test_bad_class_is_usage_error(self, trained, digits_dir, tmp_path):
         """An out-of-range class id exits 1."""
         rc = main(["encode", "--ckpt", str(trained),

@@ -121,7 +121,7 @@ class TestPpmIo:
 
     @pytest.mark.parametrize("header", [
         b"P6\nwide 2\n255\n", b"P6\n2 2\n65535\n", b"P6\n2 2\n0\n",
-        b"P5\n0 2\n255\n"])
+        b"P5\n0 2\n255\n", b"P6\n# no newline"])
     def test_unreadable_header_fields(self, tmp_path, header):
         """Non-integer or zero sizes and maxvals outside 1..255 (16-bit
         samples, or a NaN image at 0) are data errors."""

@@ -77,24 +77,13 @@ class TestLinearOps:
 
         _gradcheck(fn, rng.standard_normal((3, 4)))
 
-    def test_chan_slice(self):
-        """Slice gradients land on the sliced channels only."""
-        rng = np.random.default_rng(42)
-        u = rng.standard_normal((2, 4, 4))
-
-        def fn(ops, x):
-            return ops.sum_all(ops.mul(ops.chan_slice(x, 1, 3),
-                                       ops.leaf(u)))
-
-        _gradcheck(fn, rng.standard_normal((5, 4, 4)))
-
     def test_dropout_mask(self):
         """Dropout is multiplication by the sampled mask."""
         rng = np.random.default_rng(42)
         mask = (rng.random((3, 4, 4)) > 0.3) / 0.7
 
         def fn(ops, x):
-            return ops.sum_all(ops.dropout(x, mask))
+            return ops.sum_all(ops.scale(x, mask))
 
         _gradcheck(fn, rng.standard_normal((3, 4, 4)))
 
@@ -205,6 +194,33 @@ class TestNonlinearOps:
                 ops.leaf(u)))
 
         _gradcheck(fn, np.full(3, 0.3))
+
+    def test_branch_code_wrt_feedback(self):
+        """Split-space feedback [c+; c-] of shape (2, Y, 2K, H, W), with v
+        broadcast over the class axis as unrolling has it: the positive
+        arm's mask reaches the first K channels, the negative arm's the
+        last K.  Both arms stay off their kinks and off their ties."""
+        rng = np.random.default_rng(42)
+        k, margin = 3, 0.01
+        bp = np.full((k, 1, 1), 0.3)
+        bm = np.full((k, 1, 1), 0.2)
+        v = rng.standard_normal((2, 1, k, 4, 4))
+        fb = rng.standard_normal((2, 2, 2 * k, 4, 4))
+        pos = _away_from_kinks(v - bp + fb[..., :k, :, :], [0.0], margin)
+        neg = _away_from_kinks(v + bm + fb[..., k:, :, :], [0.0], margin)
+        tie = (pos > 0) & (neg < 0) & (np.abs(pos + neg) < margin)
+        pos[tie] += 2 * margin
+        fb = np.concatenate([pos - (v - bp), neg - (v + bm)], axis=-3)
+        u = rng.standard_normal((2, 2, k, 4, 4))
+
+        def fn(ops, x):
+            return ops.sum_all(ops.mul(
+                ops.branch_code(ops.leaf(v), ops.leaf(bp), ops.leaf(bm),
+                                feedback=x),
+                ops.leaf(u)))
+
+        got = _gradcheck(fn, fb)
+        assert got[..., :k, :, :].any() and got[..., k:, :, :].any()
 
     @staticmethod
     def _branch_code_mask(v, bp, bm):
