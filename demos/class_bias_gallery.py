@@ -39,7 +39,9 @@ def main():
 
     x = xte[:1]
     fwd = forward(params, spec, x, switches=True)
-    bias_tiles = [decode_class_bias(params, spec, y, at, fwd.switches)[0, 0]
+    bias_tiles = [decode_class_bias(params, spec, y, at,
+                                    {j: fwd.hypothesis(y, j, sw)
+                                     for j, sw in fwd.switches.items()})[0, 0]
                   for y in range(10)]
     emit_image_grid([bias_tiles], args.bias_out)
     print(f"class-bias gallery -> {args.bias_out}")

@@ -13,7 +13,8 @@ breakdowns, so one reader handles both.
 Loading is total: any malformed byte stream raises CheckpointError with
 the offending byte offset; the checksum is verified before any parsing
 so corruption is reported as such rather than as a spurious format
-error.
+error.  Parameters must fit the embedded network: the names and shapes
+``network.build`` gives it, each in a floating dtype.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .config import parse_network, serialize_network
 from .data import Whitening
 from .errors import CheckpointError, ConfigError
 from .learn import OptimizerState
+from .network import build
 
 __all__ = ["Checkpoint", "save_checkpoint", "load_checkpoint",
            "write_tensor_file", "read_tensor_file"]
@@ -184,6 +186,20 @@ def _unpack_count(name, arr):
     return int(arr.item())
 
 
+def _check_params(spec, params):
+    """Refuse parameters that are not floating arrays with the names and
+    shapes that ``build`` gives ``spec``."""
+    want = build(spec, seed=0)
+    if set(params) != set(want):
+        raise CheckpointError(f"parameters missing or unknown to the "
+                              f"network: {sorted(set(params) ^ set(want))}")
+    for name, arr in sorted(params.items()):
+        if arr.shape != want[name].shape or arr.dtype.kind != "f":
+            raise CheckpointError(
+                f"parameter {name} is {arr.dtype} {arr.shape}; the network "
+                f"needs a floating array of shape {want[name].shape}")
+
+
 def save_checkpoint(path, ckpt):
     tensors = {f"param.{k}": v for k, v in ckpt.params.items()}
     if ckpt.opt_state is not None:
@@ -231,6 +247,7 @@ def load_checkpoint(path):
             wmat = arr
         else:
             extra[name] = arr
+    _check_params(spec, params)
     opt_state = None
     if m or v:
         if set(m) != set(params) or set(v) != set(params):

@@ -204,7 +204,7 @@ def _cmd_encode(args):
             for y in wanted:
                 tensors[f"code.block{i}.class{y}"] = code[y]
         else:
-            tensors[f"code.block{i}"] = code
+            tensors[f"code.block{i}"] = fwd.hypothesis(0, i, code)
     if ckpt.spec.classifier[0] == "energy":
         bd = _energy_breakdown(ckpt.params, ckpt.spec, fwd)
         for name in ("e_code", "e_class", "e_total", "l1_of_code",

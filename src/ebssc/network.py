@@ -33,13 +33,17 @@ go up.  The trace evaluates that energy at every sweep with ``Ops.energy``
 without a norm: explicitly, as <v, z> - beta_plus.z+ + beta_minus.z-,
 because a code refined with feedback is not its own block's optimum.
 
+With the energy classifier every map carries the class-hypothesis axis
+at -4: ``forward`` gives the input a singleton there, which the first
+ebssc block's class thresholds broadcast to one entry per class, so maps
+from below and above that block broadcast against each other as they are.
+
 ``forward`` owns each coding block's state.  It records the block's
-correlation v and the thresholds (beta_plus, beta_minus) it coded with,
-and so alone decides where the class-hypothesis axis sits; unrolling and
-``class_energy_breakdown`` start from that record instead of rebuilding
-it.  A recorded v carries the forward pass's dropout mask, which the
-correlations an unrolled sweep refreshes cannot, so train-mode unrolling
-refuses coding segments that use dropout.
+correlation v and the thresholds (beta_plus, beta_minus) it coded with;
+unrolling and ``class_energy_breakdown`` start from that record instead
+of rebuilding it.  A recorded v carries the forward pass's dropout mask,
+which the correlations an unrolled sweep refreshes cannot, so train-mode
+unrolling refuses coding segments that use dropout.
 """
 
 from __future__ import annotations
@@ -222,10 +226,10 @@ def build(spec, seed, dtype=np.float32):
 class ForwardResult:
     """Scores plus the per-block state that decoding, training, unrolling
     and the energy breakdown reuse.  For each coding block i,
-    ``codes[i]`` is its code z, ``correlations[i]`` its v (class axis
-    included from ``class_axis_at`` on, dropout mask applied in train
-    mode) and ``thresholds[i]`` its (beta_plus, beta_minus); all are
-    arrays under ``Ops()`` and tape nodes under ``Ops(tape)``.
+    ``codes[i]`` is its code z, ``correlations[i]`` its v (dropout mask
+    applied in train mode) and ``thresholds[i]`` its (beta_plus,
+    beta_minus); all are arrays under ``Ops()`` and tape nodes under
+    ``Ops(tape)``.  ``class_axis_at`` is the first ebssc block, or -1.
     ``switches[j]`` holds pool block j's argmax switches when
     ``forward`` was asked for them (``switches=True``), and is empty
     otherwise."""
@@ -238,36 +242,27 @@ class ForwardResult:
     class_axis_at: int = -1
 
     def carries_class_axis(self, j):
-        """Whether block j's outputs (codes, switches) carry the class
-        hypothesis axis, at -4: from the first ebssc block on."""
+        """Whether block j's outputs (codes, switches) hold one entry per
+        class hypothesis at -4: from the first ebssc block on."""
         return 0 <= self.class_axis_at <= j
 
     def hypothesis(self, y, j, t):
         """Class hypothesis y of block j's output t (a code or pool
-        switches): the slice at -4 if block j carries the class axis."""
-        return t[..., y, :, :, :] if self.carries_class_axis(j) else t
-
-
-def _dropout_mask(rng, t_value, rate, class_axis):
-    shape = list(t_value.shape)
-    if class_axis:
-        shape[-4] = 1
-    keep = rng.random(shape) >= rate
-    return (keep / (1.0 - rate)).astype(t_value.dtype)
-
-
-def _insert_class_axis(ops, t):
-    shape = np.shape(ops.value(t))
-    return ops.reshape(t, shape[:-3] + (1,) + shape[-3:])
+        switches): the slice at -4, a singleton shared by every hypothesis
+        below the first ebssc block.  Linear heads have no class axis."""
+        if self.class_axis_at < 0:
+            return t
+        return t[..., y if self.carries_class_axis(j) else 0, :, :, :]
 
 
 def forward(params, spec, x, mode="eval", ops=None, rng=None,
             switches=False):
     """Run the network.  With the energy classifier the class hypothesis
-    axis is vectorized: activations from the first ebssc block on gain a
-    class dimension at -4, and scores cover every class.  One hypothesis
-    y is the slice ``[..., y, :, :, :]`` of those activations and column
-    y of the scores.  Each energy block adds its optimal coding energy
+    axis is vectorized: x gains a singleton axis at -4, which the first
+    ebssc block broadcasts to one entry per class, and scores cover every
+    class.  One hypothesis y is ``ForwardResult.hypothesis`` of those
+    activations and column y of the scores.  Each energy block adds its
+    optimal coding energy
     ||z~||_2 to the score, where z~ is the pre-projection code, so a
     hypothesis whose z~ is all zero at a block has a zero code there and
     that block adds 0.
@@ -294,6 +289,8 @@ def forward(params, spec, x, mode="eval", ops=None, rng=None,
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be train or eval, got {mode!r}")
     head, head_idx = spec.classifier
+    if head == "energy":
+        x = x.reshape(x.shape[:-3] + (1,) + x.shape[-3:])
 
     t = ops.leaf(x)
     res = ForwardResult()
@@ -305,9 +302,10 @@ def forward(params, spec, x, mode="eval", ops=None, rng=None,
                 and b.dropout_rate > 0.0):
             if rng is None:
                 raise ValueError("train-mode dropout needs an rng")
-            mask = _dropout_mask(rng, ops.value(t), b.dropout_rate,
-                                 res.carries_class_axis(i - 1))
-            t = ops.scale(t, mask)
+            # One mask per input map, shared by every class hypothesis.
+            tv, rate = ops.value(t), b.dropout_rate
+            keep = rng.random(x.shape[:-3] + tv.shape[-3:]) >= rate
+            t = ops.scale(t, (keep / (1.0 - rate)).astype(tv.dtype))
 
         if b.kind in POOL_KINDS:
             t, sw = ops.maxpool(t, b.kernel[0], b.stride, b.pad, switches)
@@ -328,15 +326,14 @@ def forward(params, spec, x, mode="eval", ops=None, rng=None,
         else:
             v = ops.correlate(t, params[f"block{i}.bank"], b.pad)
             if b.kind == "ebssc" and res.class_axis_at < 0:
-                v = _insert_class_axis(ops, v)
                 res.class_axis_at = i
             bp, bm = arm_thresholds(ops, params[f"block{i}.w_plus"],
                                     params[f"block{i}.w_minus"],
                                     params[f"block{i}.offset"])
             if not ThresholdPair.proper(ops.value(bp), ops.value(bm)):
                 raise ImproperThresholdError(
-                    f"block {i} thresholds are not proper: NaN, a -inf "
-                    "beta_plus or -beta_minus > beta_plus")
+                    f"block {i} thresholds are not proper: NaN or "
+                    "-beta_minus > beta_plus")
             z, norm = ops.normalize(ops.branch_code(v, bp, bm))
             res.correlations[i] = v
             res.thresholds[i] = (bp, bm)
@@ -391,10 +388,11 @@ def unrolled_infer(params, spec, x, T, mode="eval", ops=None, rng=None):
     top-down with reconstruction feedback, then bottom-up refreshing each
     block's linear term from the codes below.  The reported energy trace
     is the joint segment energy after the initial pass and each sweep,
-    evaluated explicitly every time (``Ops.energy`` without a norm, one
-    node per block and sweep, summed off the tape); scores are the last
-    sweep's ebssc terms, or forward()'s closed-form scores when T=0.  Train
-    mode refuses a coding segment with dropout (see the module docstring)."""
+    evaluated explicitly every time (``Ops.energy`` without a norm) and
+    summed off the tape; scores are the last sweep's ebssc terms, the
+    only trace terms recorded on a tape, or forward()'s closed-form
+    scores when T=0.  Train mode refuses a coding segment with dropout
+    (see the module docstring)."""
     if not 0 <= T <= 4:
         raise ValueError(f"unroll depth must be in 0..4, got {T}")
     if ops is None:
@@ -408,15 +406,9 @@ def unrolled_infer(params, spec, x, T, mode="eval", ops=None, rng=None):
                   switches=True)
     shapes = block_shapes(spec)
 
-    # Start from forward's record, keyed by block.  A block coded below
-    # the class axis joins it here, so its energy and the feedback it
-    # receives broadcast per class hypothesis.
+    # Start from forward's record, keyed by block.
     v = {i: fwd.correlations[i] for i in segment}
     z = {i: fwd.codes[i] for i in segment}
-    for i in segment:
-        if i < fwd.class_axis_at:
-            v[i] = _insert_class_axis(ops, v[i])
-            z[i] = _insert_class_axis(ops, z[i])
 
     def resolve(i, above):
         """Re-solve block i's code, with feedback from block ``above``."""
@@ -436,6 +428,9 @@ def unrolled_infer(params, spec, x, T, mode="eval", ops=None, rng=None):
         v[i] = ops.correlate(t, params[f"block{i}.bank"], spec.blocks[i].pad)
 
     above = dict(zip(segment, segment[1:] + [None]))
+    # Only the last sweep's ebssc terms are scores; the rest stay untaped.
+    scored = {i for i in segment if T > 0 and spec.blocks[i].kind == "ebssc"}
+    plain = Ops()
     trace = []
     for sweep in range(T + 1):
         if sweep > 0:
@@ -446,16 +441,15 @@ def unrolled_infer(params, spec, x, T, mode="eval", ops=None, rng=None):
             for below, i in zip(segment, segment[1:]):
                 refresh(i, below)
                 resolve(i, above[i])
-        terms = [ops.energy(v[i], *fwd.thresholds[i], z[i])
-                 for i in segment]
+        terms = [(ops if sweep == T and i in scored else plain).energy(
+                     v[i], *fwd.thresholds[i], z[i]) for i in segment]
         trace.append(np.asarray(sum(ops.value(term) for term in terms),
                                 dtype=np.float64))
 
     if T == 0:
         return UnrollResult(codes={i: fwd.codes[i] for i in segment},
                             scores=fwd.scores, energy_trace=trace)
-    energy_terms = [term for i, term in zip(segment, terms)
-                    if spec.blocks[i].kind == "ebssc"]
+    energy_terms = [term for i, term in zip(segment, terms) if i in scored]
     scores = ops.add_n(energy_terms) if energy_terms else None
     return UnrollResult(codes=z, scores=scores, energy_trace=trace)
 
@@ -500,21 +494,18 @@ def decode(params, spec, code, from_block, switches):
 def decode_class_bias(params, spec, y, at_block, switches):
     """Decode the class-y threshold bias pattern of block ``at_block``
     as if it were that block's activation: the per-coefficient mean shift
-    (w_hat_minus - w_hat_plus)/2 - offset, broadcast over code locations."""
-    b = spec.blocks[at_block]
-    if b.kind != "ebssc":
+    (beta_minus - beta_plus)/2 of class y's thresholds (``arm_thresholds``
+    in float64), broadcast over code locations."""
+    if spec.blocks[at_block].kind != "ebssc":
         raise ValueError(f"block {at_block} has no class bias")
-    wp = np.asarray(params[f"block{at_block}.w_plus"][y], dtype=np.float64)
-    wm = np.asarray(params[f"block{at_block}.w_minus"][y], dtype=np.float64)
-    off = np.asarray(params[f"block{at_block}.offset"], dtype=np.float64)
-    if wp.ndim == 1:
-        field_ = (wm - wp) / 2.0 - off
-        hw = block_shapes(spec)[at_block][1:]
-        pattern = np.broadcast_to(field_[:, None, None],
-                                  (field_.shape[0],) + hw).copy()
-    else:
-        pattern = (wm - wp) / 2.0 - off[:, None, None]
-    return decode(params, spec, pattern, at_block, switches)
+    wp, wm, off = (np.asarray(params[f"block{at_block}.{part}"],
+                              dtype=np.float64)
+                   for part in ("w_plus", "w_minus", "offset"))
+    bp, bm = arm_thresholds(Ops(), wp[y], wm[y], off)
+    shift = (bm - bp) / 2.0
+    hw = block_shapes(spec)[at_block][1:]
+    return decode(params, spec, np.broadcast_to(shift, shift.shape[:-2] + hw),
+                  at_block, switches)
 
 
 def decode_residual(params, spec, x, y, at_block):

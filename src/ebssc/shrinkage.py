@@ -11,9 +11,8 @@ The pair is *proper* when -beta_minus <= beta_plus elementwise, which makes
 the operator single-valued and monotone. Special cases:
 
 * symmetric soft threshold at level b:   (beta_plus, beta_minus) = (b, b)
-* one-sided rectifier (ReLU):            beta_plus = 0 with the negative
-  branch disabled; a non-finite beta_minus is the sentinel for "disabled"
-  (the dead zone extends to -inf).
+* one-sided rectifier (ReLU):            (beta_plus, beta_minus) = (0, +inf):
+  the dead zone extends to -inf, so the negative branch never fires.
 
 Equivalently, for finite pairs, shrink(v) = relu(v - beta_plus)
 - relu(-(v + beta_minus)) — two rectifiers back to back.
@@ -59,23 +58,19 @@ class ThresholdPair:
 
     @classmethod
     def rectifier(cls):
-        """The ReLU limit: zero upper threshold, negative branch disabled."""
-        return cls(np.asarray(0.0), np.asarray(-np.inf))
+        """The ReLU limit: zero upper threshold, and a +inf lower one that
+        disables the negative branch."""
+        return cls(np.asarray(0.0), np.asarray(np.inf))
 
     @staticmethod
     def proper(beta_plus, beta_minus):
-        """The properness rule over broadcast arrays: no NaN, no -inf
-        beta_plus, and -beta_minus <= beta_plus wherever beta_minus is
-        finite (a non-finite beta_minus disables the negative arm).
-        A rounded sum keeps the exact sum's sign, and NaN and inf - inf
-        compare false, so beta_plus + beta_minus >= 0 decides every entry
-        but those with a -inf beta_minus in one comparison."""
+        """The properness rule over broadcast arrays: -beta_minus <=
+        beta_plus everywhere, as beta_plus + beta_minus >= 0.  A rounded
+        sum keeps the exact sum's sign, and NaN and inf - inf compare
+        false, so this refuses NaN and a -inf beta_plus or beta_minus; a
+        +inf beta_minus disables the negative arm."""
         with np.errstate(over="ignore", invalid="ignore"):
-            ok = beta_plus + beta_minus >= 0
-            if ok.all():
-                return True
-            return bool(np.all(ok | ((beta_minus == -np.inf)
-                                     & (beta_plus > -np.inf))))
+            return bool(np.all(beta_plus + beta_minus >= 0))
 
     def is_proper(self):
         """``proper`` for this pair."""
@@ -97,16 +92,15 @@ def branch_code(v, beta_plus, beta_minus, c_plus=None, c_minus=None):
     z_tilde = v - clip(v, -beta_minus, beta_plus), the dead zone's
     distance, with no arm choice and no buffer beyond the one clip
     allocates; callers check properness (an improper pair would need both
-    arms).  Bonuses can make both arms active, and then the larger one
-    wins.  Either way sign(z_tilde) flags the active arm, which is all a
-    subgradient needs.  NaN entries of v propagate into z_tilde.
+    arms).  A +inf beta_minus disables the negative arm with no special
+    case: z_tilde = max(v - beta_plus, 0).  Bonuses can make both arms
+    active, and then the larger one wins.  Either way sign(z_tilde) flags
+    the active arm, which is all a subgradient needs.  NaN entries of v
+    propagate into z_tilde.
     """
     v = np.asarray(v)
     bp = np.asarray(beta_plus, dtype=v.dtype)
     bm = np.asarray(beta_minus, dtype=v.dtype)
-    # A disabled negative arm (non-finite beta_minus) is a dead zone that
-    # never ends below, which +inf gives.
-    bm = np.where(np.isfinite(bm), bm, np.inf).astype(v.dtype, copy=False)
     if c_plus is None and c_minus is None:
         # clip as max-then-min into one buffer: np.clip itself runs several
         # times slower against broadcast bounds.

@@ -206,15 +206,6 @@ def max_pool(x, window, stride=None, pad=0, return_switches=False):
     return out, switches
 
 
-def _align_rank(arr, target_ndim):
-    """Insert singleton axes at position -4 until ranks match, so maps
-    that gained a per-class or batch axis broadcast against companions
-    recorded before the axis existed."""
-    while arr.ndim < target_ndim:
-        arr = arr.reshape(arr.shape[:-3] + (1,) + arr.shape[-3:])
-    return arr
-
-
 def _routes(switches, hw, window, stride, pad):
     """Flat index, into one (H + 2*pad) x (W + 2*pad) padded map, of the
     cell each switch recorded.  Raises ShapeError when an H x W map does
@@ -238,11 +229,11 @@ def max_unpool(values, switches, window, stride, pad, out_hw):
 
     Linear adjoint of `max_pool` once the switches are fixed; also the
     unpooling step of deconvolutional decoding.  Values routed to one cell
-    by overlapping windows add up.
+    by overlapping windows add up.  The leading axes of `values` and
+    `switches` broadcast as numpy broadcasts them, aligned from the right,
+    so a (C, h, w) pattern un-pools through (B, Y, C, h, w) switches.
     """
     values = _require_map(values, "pooled map")
-    switches = _align_rank(switches, values.ndim)
-    values = _align_rank(values, switches.ndim)
     if values.shape[-2:] != switches.shape[-2:]:
         raise ShapeError("pooled map and switches differ in size",
                          values.shape, switches.shape)
@@ -270,12 +261,14 @@ def switch_gather(x, switches, window, stride, pad):
 
     Linear in `x` and the exact adjoint of `max_unpool` for the same
     switches; used to keep pooling decisions frozen while codes change
-    during unrolled inference. Broadcasts over leading axes of either
-    argument (e.g. per-class codes against shared switches).
+    during unrolled inference. `x` and `switches` have equal rank, and
+    their leading axes broadcast (e.g. per-class codes against switches
+    with a singleton class axis); raises ShapeError when the ranks differ.
     """
     x = _require_map(x)
-    switches = _align_rank(switches, x.ndim)
-    x = _align_rank(x, switches.ndim)
+    if x.ndim != switches.ndim:
+        raise ShapeError("map and switches differ in rank", x.shape,
+                         switches.shape)
     routes = _routes(switches, x.shape[-2:], window, stride, pad)
     xp = _pad_hw(x, pad)
     flat = xp.reshape(xp.shape[:-2] + (-1,))

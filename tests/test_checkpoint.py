@@ -230,6 +230,32 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="network"):
             load_checkpoint(str(path))
 
+    @pytest.mark.parametrize("name, arr", [
+        ("param.block0.offset", None),
+        ("param.block2.w_plus", np.full((1, 24, 14, 14), 0.01, np.float32)),
+        ("param.block3.bank", np.zeros((2, 24, 1, 1), np.float32)),
+        ("param.block0.bank", np.zeros((12, 1, 5, 5), np.int64))],
+        ids=["missing_offset", "one_class_arms", "unknown_name",
+             "integer_bank"])
+    def test_parameters_must_fit_the_network(self, tmp_path, name, arr):
+        """Parameters that are not the floating arrays, with the names and
+        shapes, that ``build`` gives the embedded network are refused at
+        load: a missing offset would fail the first forward pass with a
+        KeyError, and one class's arms would broadcast over every class
+        and score as if the model had ten."""
+        spec = variant_spec("digits_ssc_ebc2")
+        path = tmp_path / "run.ckpt"
+        save_checkpoint(str(path), Checkpoint(spec=spec,
+                                              params=build(spec, seed=0)))
+        text, tensors = read_tensor_file(str(path))
+        if arr is None:
+            del tensors[name]
+        else:
+            tensors[name] = arr
+        write_tensor_file(str(path), tensors, text=text)
+        with pytest.raises(CheckpointError, match="parameter"):
+            load_checkpoint(str(path))
+
     @pytest.mark.parametrize("bad", [np.arange(2, dtype=np.int64),
                                      np.float64(4.0)],
                              ids=["two_integers", "float"])

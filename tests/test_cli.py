@@ -8,7 +8,7 @@ import pytest
 
 from ebssc import cli, network
 from ebssc.checkpoint import Checkpoint, load_checkpoint, \
-    read_tensor_file, save_checkpoint
+    read_tensor_file, save_checkpoint, write_tensor_file
 from ebssc.cli import main
 from ebssc.imaging import load_ppm
 from ebssc.network import BlockSpec, NetworkSpec, build
@@ -119,6 +119,18 @@ class TestEval:
                    "--unroll", "1"])
         assert rc == 1
         assert "coding blocks" in capsys.readouterr().err
+
+    def test_checkpoint_missing_a_parameter_exits_two(
+            self, trained, tmp_path, digits_dir, capsys):
+        """A checkpoint that lacks a parameter its network needs is a data
+        error at load, not a KeyError out of the first forward pass."""
+        text, tensors = read_tensor_file(str(trained))
+        del tensors["param.block0.offset"]
+        ckpt = tmp_path / "partial.ckpt"
+        write_tensor_file(str(ckpt), tensors, text=text)
+        rc = main(["eval", "--ckpt", str(ckpt), "--data", str(digits_dir)])
+        assert rc == 2
+        assert "block0.offset" in capsys.readouterr().err
 
     def test_missing_checkpoint_exits_two(self, tmp_path, digits_dir):
         """A nonexistent checkpoint is a data error."""

@@ -130,14 +130,17 @@ class TestBackward:
             scale = max(np.abs(want).max(), 1e-8)
             assert np.abs(grads[name] - want).max() / scale < 1e-5, name
 
-    @pytest.mark.parametrize("unroll_T, nodes", [(0, 36), (1, 52), (2, 63)])
+    @pytest.mark.parametrize("unroll_T, nodes", [(0, 35), (1, 46), (2, 55)])
     def test_tape_size(self, unroll_T, nodes):
         """The nodes one loss records on the digit model: the 8 leaves,
         the feed-forward pass, the regularizer and the loss, plus each
-        unrolled sweep's re-solves, refreshed correlations and energies.
-        The top block is re-solved once per sweep, on its way up; a
-        re-solve takes its feedback whole, and the energy trace is summed
-        off the tape."""
+        unrolled sweep's re-solves and refreshed correlations, and the
+        last sweep's ebssc energies.  The top block is re-solved once per
+        sweep, on its way up; a re-solve takes its feedback whole, and
+        the rest of the energy trace stays off the tape.  Two nodes get
+        no gradient at every depth: the top block's code and its z~ at
+        T=0, which the closed-form score bypasses, and forward's score
+        and its one energy term when unrolled scores replace them."""
         spec = variant_spec("digits_ssc_ebc2")
         params = build(spec, seed=0)
         rng = np.random.default_rng(42)
@@ -146,9 +149,11 @@ class TestBackward:
         tape = Tape()
         ops = Ops(tape)
         leaves = {k: ops.leaf(p) for k, p in params.items()}
-        loss(leaves, spec, x, y, TrainConfig(alpha=1e-4, unroll_T=unroll_T),
-             ops=ops)
+        total, _ = loss(leaves, spec, x, y,
+                        TrainConfig(alpha=1e-4, unroll_T=unroll_T), ops=ops)
         assert len(tape.nodes) == nodes
+        tape.backward(total)
+        assert sum(n.grad is None for n in tape.nodes) == 2
 
     def test_loss_value_and_scores_returned(self):
         """backward reports the same loss as a plain evaluation."""

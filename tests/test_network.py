@@ -193,16 +193,42 @@ class TestForwardEnergy:
     """The vectorized class-hypothesis path."""
 
     def test_scores_shape_and_class_axis(self):
-        """Scores are (B, Y); codes above the first ebssc gain a class
-        axis while blocks below stay classless."""
+        """Scores are (B, Y); codes from the first ebssc block on hold
+        one entry per class at -4, blocks below a singleton."""
         spec = _toy_energy_spec()
         params = _generic_params(spec)
         x = np.random.default_rng(42).standard_normal((2, 1, 8, 8))
         res = forward(params, spec, x)
         assert np.shape(res.scores) == (2, 3)
         assert res.class_axis_at == 2
-        assert res.codes[0].shape == (2, 4, 8, 8)
+        assert res.codes[0].shape == (2, 1, 4, 8, 8)
         assert res.codes[2].shape == (2, 3, 5, 4, 4)
+
+    @pytest.mark.parametrize("spec", [
+        _toy_energy_spec(), _stacked_energy_spec(), _stacked_pool_spec(),
+        NetworkSpec(blocks=(BlockSpec("ebssc", (2, 1, 3, 3), pad=1),
+                            BlockSpec("maxpool", (2,), stride=2),
+                            BlockSpec("ebssc", (3, 4, 3, 3), pad=1)),
+                    classifier=("energy", 0), num_classes=3,
+                    input_shape=(1, 8, 8))],
+        ids=["toy", "stacked", "stacked_pool", "pool_above"])
+    @pytest.mark.parametrize("lead", [(), (2,)], ids=["one", "batch"])
+    def test_every_map_carries_the_class_axis(self, spec, lead):
+        """Every code, correlation and pool switch of an energy network
+        has x's rank plus one: the class axis at -4.  Codes and switches
+        hold a singleton there below the first ebssc block and one entry
+        per class from it on."""
+        params = _generic_params(spec)
+        x = np.random.default_rng(42).standard_normal(
+            lead + spec.input_shape)
+        res = forward(params, spec, x, switches=True)
+        assert all(np.ndim(v) == x.ndim + 1
+                   for v in res.correlations.values())
+        outputs = list(res.codes.items()) + list(res.switches.items())
+        for j, t in outputs:
+            assert np.ndim(t) == x.ndim + 1
+            assert np.shape(t)[-4] == (3 if res.carries_class_axis(j)
+                                       else 1)
 
     def test_scores_equal_energy_breakdown_total(self):
         """forward scores decompose into code + class energy terms."""
@@ -427,7 +453,9 @@ class TestDecode:
         params = _generic_params(spec)
         x = np.random.default_rng(42).standard_normal((1, 1, 8, 8))
         res = forward(params, spec, x, switches=True)
-        img = decode(params, spec, res.codes[2][:, 0], 2, res.switches)
+        switches = {j: res.hypothesis(0, j, sw)
+                    for j, sw in res.switches.items()}
+        img = decode(params, spec, res.codes[2][:, 0], 2, switches)
         assert img.shape == (1, 1, 8, 8)
         assert np.isfinite(img).all()
 
@@ -450,7 +478,8 @@ class TestDecode:
         params = _generic_params(spec)
         rng = np.random.default_rng(42)
         x = rng.standard_normal((2, 1, 16, 16))
-        sw = forward(params, spec, x, switches=True).switches
+        fwd = forward(params, spec, x, switches=True)
+        sw = {j: fwd.hypothesis(0, j, s) for j, s in fwd.switches.items()}
         z = rng.standard_normal((2, 3, 2, 2))
         u = rng.standard_normal((2, 1, 16, 16))
         up = tensor.switch_gather(u, sw[0], 2, 2, 0)

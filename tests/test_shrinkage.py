@@ -19,10 +19,11 @@ class TestThresholdPair:
         assert p.beta_plus == 0.3 and p.beta_minus == 0.3
 
     def test_rectifier(self):
-        """The rectifier pair has a zero upper threshold and no lower arm."""
+        """The rectifier pair has a zero upper threshold and a +inf lower
+        one, which disables the lower arm."""
         p = ThresholdPair.rectifier()
         assert p.beta_plus == 0.0
-        assert np.isneginf(p.beta_minus)
+        assert np.isposinf(p.beta_minus)
 
     def test_proper_iff_dead_zone_nonempty(self):
         """-beta_minus <= beta_plus decides properness elementwise."""
@@ -43,23 +44,26 @@ class TestThresholdPair:
 
     @pytest.mark.parametrize("bp, bm, want", [
         (0.2, -0.2, True), (0.2, -0.2000001, False), (1e-300, -1e-300, True),
-        (np.inf, 0.0, True), (0.0, np.inf, True), (0.0, -np.inf, True),
-        (np.inf, -np.inf, True), (-np.inf, np.inf, False),
+        (np.inf, 0.0, True), (0.0, np.inf, True), (0.0, -np.inf, False),
+        (np.inf, -np.inf, False), (-np.inf, np.inf, False),
         (-np.inf, -np.inf, False), (np.nan, 0.0, False), (0.0, np.nan, False),
         (np.nan, -np.inf, False)])
     def test_proper_rule_per_entry(self, bp, bm, want):
         """ThresholdPair.proper, on one entry among proper ones: NaN and a
-        -inf beta_plus are refused, and a non-finite beta_minus disables
-        the -beta_minus <= beta_plus test."""
+        -inf threshold on either side are refused, and a +inf beta_minus
+        (a disabled negative arm) passes -beta_minus <= beta_plus."""
         bps, bms = np.full(4, 0.1), np.full(4, 0.1)
         bps[2], bms[2] = bp, bm
         assert ThresholdPair.proper(bps, bms) is want
 
     def test_disabled_branch_always_proper(self):
-        """An infinite beta_minus disables the check on that entry."""
+        """A +inf beta_minus is proper at any finite beta_plus; -inf is
+        not a disabled arm but an inverted pair."""
         p = ThresholdPair(np.asarray([0.0, 0.1]),
-                          np.asarray([-np.inf, 0.2]))
+                          np.asarray([np.inf, 0.2]))
         assert p.is_proper()
+        assert not ThresholdPair(np.asarray([0.0, 0.1]),
+                                 np.asarray([-np.inf, 0.2])).is_proper()
 
 
 class TestShrink:

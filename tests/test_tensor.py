@@ -186,12 +186,13 @@ class TestMaxPool:
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
     def test_broadcast_over_class_axis(self):
-        """Per-class values reuse one set of batchwise switches."""
+        """Per-class values reuse one set of batchwise switches, which
+        hold a singleton class axis."""
         rng = np.random.default_rng(42)
         x = rng.standard_normal((2, 4, 8, 8))
         out, sw = tensor.max_pool(x, 2, 2, 0, return_switches=True)
         vals = rng.standard_normal((2, 5, 4, 4, 4))
-        up = tensor.max_unpool(vals, sw, 2, 2, 0, (8, 8))
+        up = tensor.max_unpool(vals, sw[:, None], 2, 2, 0, (8, 8))
         assert up.shape == (2, 5, 4, 8, 8)
         for c in range(5):
             np.testing.assert_array_equal(
@@ -200,7 +201,7 @@ class TestMaxPool:
     @staticmethod
     def _class_axis_case():
         """float32 maps with a class axis, pooled at (3, 2, 1) by
-        batchwise switches that lack it."""
+        batchwise switches that hold it as a singleton."""
         rng = np.random.default_rng(42)
         x = rng.standard_normal((2, 3, 9, 9)).astype(np.float32)
         _, sw = tensor.max_pool(x, 3, 2, 1, return_switches=True)
@@ -210,7 +211,7 @@ class TestMaxPool:
         """Overlapping windows accumulate their routes as in the loops."""
         rng, sw = self._class_axis_case()
         vals = rng.standard_normal((2, 4, 3, 5, 5)).astype(np.float32)
-        got = tensor.max_unpool(vals, sw[:, 0], 3, 2, 1, (9, 9))
+        got = tensor.max_unpool(vals, sw, 3, 2, 1, (9, 9))
         want = reference.max_unpool_loops(vals, sw, 3, 2, 1, (9, 9))
         assert got.dtype == np.float32
         np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-6)
@@ -219,7 +220,7 @@ class TestMaxPool:
         """Each switch reads the cell the loops read."""
         rng, sw = self._class_axis_case()
         u = rng.standard_normal((2, 4, 3, 9, 9)).astype(np.float32)
-        got = tensor.switch_gather(u, sw[:, 0], 3, 2, 1)
+        got = tensor.switch_gather(u, sw, 3, 2, 1)
         assert got.dtype == np.float32
         np.testing.assert_array_equal(
             got, reference.switch_gather_loops(u, sw, 3, 2, 1))
@@ -233,6 +234,14 @@ class TestMaxPool:
                 tensor.max_unpool(np.ones((1, 4, 4)), sw, 2, 2, 0, (6, 6))
             else:
                 tensor.switch_gather(np.ones((1, 6, 6)), sw, 2, 2, 0)
+
+    def test_gather_rejects_rank_mismatch(self):
+        """Maps and switches of different rank are refused, not aligned
+        by guessing where an axis is missing."""
+        rng, sw = self._class_axis_case()
+        u = rng.standard_normal((2, 3, 9, 9))
+        with pytest.raises(ShapeError, match="rank"):
+            tensor.switch_gather(u, sw, 3, 2, 1)
 
     def test_tie_takes_first_index(self):
         """Equal values in one window resolve to the earliest cell."""
