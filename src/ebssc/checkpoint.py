@@ -14,7 +14,8 @@ Loading is total: any malformed byte stream raises CheckpointError with
 the offending byte offset; the checksum is verified before any parsing
 so corruption is reported as such rather than as a spurious format
 error.  Parameters must fit the embedded network: the names and shapes
-``network.build`` gives it, each in a floating dtype.
+``network.build`` gives it, each in a floating dtype; optimizer moments
+must be floating arrays of their parameters' shapes.
 """
 
 from __future__ import annotations
@@ -253,6 +254,13 @@ def load_checkpoint(path):
         if set(m) != set(params) or set(v) != set(params):
             raise CheckpointError("optimizer tensors do not match "
                                   "parameter names")
+        for name in sorted(params):
+            for arr in (m[name], v[name]):
+                if arr.shape != params[name].shape or arr.dtype.kind != "f":
+                    raise CheckpointError(
+                        f"optimizer moment for {name} is {arr.dtype} "
+                        f"{arr.shape}; its parameter needs a floating "
+                        f"array of shape {params[name].shape}")
         opt_state = OptimizerState(m=m, v=v, step=meta["adam_step"])
     whitening = None
     if wmean is not None or wmat is not None:

@@ -18,8 +18,9 @@ Every coding block emits split codes (positive and negative parts as
 separate channels), so coding and crelu-family blocks double the channel
 count seen by the next block.  Forward passes are written against the op
 surface in ``tape``: pass ``Ops(tape)`` with ``params`` mapping each name
-to its leaf node on that tape to record gradients, or nothing (and plain
-arrays) for evaluation.  ``forward`` shrinks with the one-arm closed form,
+to its leaf node on that tape to record the parameters' gradients (the
+input is a constant, with none), or nothing (and plain arrays) for
+evaluation.  ``forward`` shrinks with the one-arm closed form,
 which needs proper thresholds (-beta_minus <= beta_plus), so it refuses
 parameters that violate that.
 
@@ -292,7 +293,7 @@ def forward(params, spec, x, mode="eval", ops=None, rng=None,
     if head == "energy":
         x = x.reshape(x.shape[:-3] + (1,) + x.shape[-3:])
 
-    t = ops.leaf(x)
+    t = x
     res = ForwardResult()
     score_terms = []
     last = len(spec.blocks) - 1

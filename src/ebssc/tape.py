@@ -31,8 +31,18 @@ unrolled inference needs: one node that also has z as a parent.
 A backward rule reads its parents' recorded values; what it keeps from
 record time is the rectifiers' sign masks and the pooling switches.  A
 taped ``maxpool`` always computes its switches for that reason; an
-untaped one computes them only when its caller asks.  Reductions that
-feed energies accumulate in float64.
+untaped one computes them only when its caller asks.
+
+Dtypes: energies and losses reduce in float64, and every gradient has
+the dtype of its node's value (``_acc`` casts it), so a float32 model's
+backward runs in float32.  ``energy`` casts its small per-hypothesis
+upstream to the code's dtype before any map-sized product, and forms its
+threshold and correlation gradients as contractions over the leading
+(batch, class) axes of the flattened map.
+
+A parent that is not a ``Node`` (the input image) is a constant: an op
+whose parents are all constants records nothing, and no rule computes a
+constant's gradient.
 """
 
 from __future__ import annotations
@@ -96,7 +106,27 @@ class Tape:
 
 
 def _acc(node, g):
+    g = np.asarray(g, dtype=node.value.dtype)
     node.grad = g if node.grad is None else node.grad + g
+
+
+def _contract(g, z, shape):
+    """The gradient of sum(g * z) with respect to a target of ``shape``
+    that broadcasts against z, where g has z's leading axes: a matrix
+    product with the flattened (C*H*W) map that contracts the leading
+    axes the target does not keep and is batched over those it keeps,
+    then ``_unbroadcast`` over the map axes where the target is 1."""
+    n = g.ndim
+    lead = z.shape[:n]
+    target = (1,) * (z.ndim - len(shape)) + tuple(shape)
+    summed = [i for i in range(n) if target[i] < lead[i]]
+    kept = [i for i in range(n) if target[i] == lead[i]]
+    batch = tuple(lead[i] for i in kept)
+    gm = np.transpose(g, kept + summed).reshape(batch + (1, -1))
+    zm = np.transpose(z.reshape(lead + (-1,)), kept + summed + [n])
+    out = gm @ zm.reshape(batch + gm.shape[-1:] + (-1,))
+    return _unbroadcast(out.reshape(target[:n] + z.shape[n:]),
+                        target).reshape(shape)
 
 
 def _val(x):
@@ -110,12 +140,13 @@ class Ops:
         self.tape = tape
 
     def _out(self, value, parents, bwd):
-        if self.tape is None:
+        if self.tape is None or not any(isinstance(p, Node) for p in parents):
             return value
         return self.tape.node(value, parents, bwd)
 
     def leaf(self, x):
-        return self._out(np.asarray(x), (), None)
+        x = np.asarray(x)
+        return x if self.tape is None else self.tape.node(x)
 
     value = staticmethod(_val)
 
@@ -158,9 +189,10 @@ class Ops:
 
     def correlate(self, x, bank, pad):
         def bwd(g):
-            _acc(x, tensor.reconstruct(g, bank.value, pad))
-            _acc(bank, tensor.correlate_bank_grad(x.value, g, bank.shape[-2:],
-                                                  pad))
+            if isinstance(x, Node):
+                _acc(x, tensor.reconstruct(g, bank.value, pad))
+            _acc(bank, tensor.correlate_bank_grad(_val(x), g,
+                                                  bank.shape[-2:], pad))
         return self._out(tensor.cross_correlate(_val(x), _val(bank), pad),
                          (x, bank), bwd)
 
@@ -218,10 +250,11 @@ class Ops:
         With ``norm``, ``z`` and ``norm`` are what ``normalize`` returned
         for ``branch_code(v, bp, bm)``: z is the optimum over the unit
         ball, so the value is ||z_tilde||_2 and, by the envelope theorem,
-        the gradient is z for v, -z+ for beta_plus and z- for beta_minus,
-        with no path back through z.  Without ``norm`` the value is
-        evaluated explicitly, accumulated in float64, for any code z; the
-        gradient adds v - beta_plus.[z > 0] + beta_minus.[z < 0] for z."""
+        the gradient is z for v, -z+ for beta_plus and z- for beta_minus
+        (which share a shape), with no path back through z.  Without
+        ``norm`` the value is evaluated explicitly, accumulated in
+        float64, for any code z; the gradient adds
+        v - beta_plus.[z > 0] + beta_minus.[z < 0] for z."""
         zv = _val(z)
         explicit = norm is None
         if explicit:
@@ -236,14 +269,15 @@ class Ops:
             norm = np.sum(drive, axis=(-3, -2, -1), dtype=np.float64)
 
         def bwd(g):
-            g = g[..., None, None, None]
-            gz = g * zv
-            _acc(v, _unbroadcast(gz, v.shape))
-            _acc(bp, -_unbroadcast(np.where(zv > 0, gz, 0.0), bp.shape))
-            _acc(bm, _unbroadcast(np.where(zv < 0, gz, 0.0), bm.shape))
+            g = np.asarray(g, dtype=zv.dtype)
+            _acc(v, _contract(g, zv, v.shape))
+            pos = _contract(g, np.maximum(zv, 0), bp.shape)
+            _acc(bp, -pos)
+            _acc(bm, _contract(g, zv, bm.shape) - pos)
             if explicit:
                 slope = v.value - bp.value * (zv > 0) + bm.value * (zv < 0)
-                _acc(z, _unbroadcast(g * slope, z.shape))
+                _acc(z, _unbroadcast(g[..., None, None, None] * slope,
+                                     z.shape))
         parents = (v, bp, bm, z) if explicit else (v, bp, bm)
         return self._out(norm, parents, bwd)
 

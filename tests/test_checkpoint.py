@@ -256,6 +256,27 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="parameter"):
             load_checkpoint(str(path))
 
+    @pytest.mark.parametrize("name, arr", [
+        ("adam.m.block2.w_plus", np.zeros((1, 24, 14, 14), np.float32)),
+        ("adam.v.block0.bank", np.zeros((12, 1, 5, 5), np.int64))],
+        ids=["one_class_moment", "integer_moment"])
+    def test_optimizer_moments_must_fit_their_parameters(self, tmp_path,
+                                                         name, arr):
+        """An optimizer moment whose shape is not its parameter's, or whose
+        dtype is not floating, is refused at load: ``adam_step`` would
+        broadcast one class's moment over every class."""
+        spec = variant_spec("digits_ssc_ebc2")
+        params = build(spec, seed=0)
+        path = tmp_path / "run.ckpt"
+        save_checkpoint(str(path), Checkpoint(
+            spec=spec, params=params,
+            opt_state=OptimizerState.init_like(params)))
+        text, tensors = read_tensor_file(str(path))
+        tensors[name] = arr
+        write_tensor_file(str(path), tensors, text=text)
+        with pytest.raises(CheckpointError, match="optimizer moment"):
+            load_checkpoint(str(path))
+
     @pytest.mark.parametrize("bad", [np.arange(2, dtype=np.int64),
                                      np.float64(4.0)],
                              ids=["two_integers", "float"])

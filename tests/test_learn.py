@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from ebssc.config import variant_spec
+from ebssc.data import digits_arrays
 from ebssc.learn import OptimizerState, TrainConfig, adam_step, backward, \
     dataset_objective, evaluate, loss, project_nonneg, train
 from ebssc.network import BlockSpec, NetworkSpec, build
 from ebssc.oracle import finite_diff
-from ebssc.tape import Ops, Tape
+from ebssc.tape import Node, Ops, Tape
 
 from test_network import _stacked_energy_spec
 
@@ -130,10 +131,45 @@ class TestBackward:
             scale = max(np.abs(want).max(), 1e-8)
             assert np.abs(grads[name] - want).max() / scale < 1e-5, name
 
-    @pytest.mark.parametrize("unroll_T, nodes", [(0, 35), (1, 46), (2, 55)])
+    def test_input_is_a_constant(self):
+        """The input image is no tape node, also where the first block
+        pools it and the next drops it out: those ops record nothing, and
+        the parameters' gradients still match finite differences."""
+        blocks = (BlockSpec("maxpool", (3,), pad=1, stride=1),
+                  BlockSpec("ssc", (3, 1, 3, 3), pad=1, beta=0.2,
+                            dropout_rate=0.5),
+                  BlockSpec("ebssc", (4, 6, 3, 3), pad=1, beta=0.2))
+        spec = NetworkSpec(blocks=blocks, classifier=("energy", 2),
+                           num_classes=2, input_shape=(1, 6, 6))
+        params = _generic_params(spec)
+        x = np.random.default_rng(42).standard_normal((2, 1, 6, 6))
+        y = np.asarray([0, 1])
+        cfg = TrainConfig()
+
+        def f(trial):
+            out, _ = loss(trial, spec, x, y, cfg, mode="train",
+                          rng=np.random.default_rng(1))
+            return float(out)
+
+        tape = Tape()
+        ops = Ops(tape)
+        leaves = {k: ops.leaf(p) for k, p in params.items()}
+        total, _ = loss(leaves, spec, x, y, cfg, mode="train", ops=ops,
+                        rng=np.random.default_rng(1))
+        tape.backward(total)
+        assert all(any(isinstance(p, Node) for p in n.parents)
+                   for n in tape.nodes[len(leaves):])
+        for name, leaf in leaves.items():
+            want = finite_diff(lambda p: f({**params, name: p}),
+                               params[name].copy(), eps=1e-6)
+            scale = max(np.abs(want).max(), 1e-8)
+            assert np.abs(leaf.grad - want).max() / scale < 1e-5, name
+
+    @pytest.mark.parametrize("unroll_T, nodes", [(0, 34), (1, 45), (2, 54)])
     def test_tape_size(self, unroll_T, nodes):
-        """The nodes one loss records on the digit model: the 8 leaves,
-        the feed-forward pass, the regularizer and the loss, plus each
+        """The nodes one loss records on the digit model: the 8 parameter
+        leaves (the input image is a constant, with no node), the
+        feed-forward pass, the regularizer and the loss, plus each
         unrolled sweep's re-solves and refreshed correlations, and the
         last sweep's ebssc energies.  The top block is re-solved once per
         sweep, on its way up; a re-solve takes its feedback whole, and
@@ -154,6 +190,44 @@ class TestBackward:
         assert len(tape.nodes) == nodes
         tape.backward(total)
         assert sum(n.grad is None for n in tape.nodes) == 2
+
+    @pytest.mark.parametrize("unroll_T", [0, 1])
+    def test_gradients_carry_their_node_dtype(self, unroll_T):
+        """On the float32 digit model every node's gradient has its value's
+        dtype, so the backward runs in float32, and ``backward`` still
+        hands float64 gradients to ADAM.  They agree with a float64 rerun
+        of the same weights within 1e-5 of each tensor's largest entry.
+        The weights have taken a few ADAM steps: at ``build`` weights the
+        class-symmetric start cancels block2.offset's gradient to
+        rounding noise."""
+        spec = variant_spec("digits_ssc_ebc2")
+        params = build(spec, seed=0)
+        images, y, _, _ = digits_arrays(10, 0, seed=5)
+        x = images.astype(np.float32)[:, None] / 255.0
+        cfg = TrainConfig(alpha=1e-4, learning_rate=0.01, unroll_T=unroll_T)
+        state = OptimizerState.init_like(params)
+        for _ in range(3):
+            grads, _, _ = backward(params, spec, x, y, cfg, mode="eval")
+            params, state = adam_step(params, grads, state, cfg)
+
+        tape = Tape()
+        ops = Ops(tape)
+        leaves = {k: ops.leaf(p) for k, p in params.items()}
+        total, _ = loss(leaves, spec, x, y, cfg, ops=ops, mode="eval")
+        tape.backward(total)
+        assert {p.dtype for p in params.values()} == {np.dtype(np.float32)}
+        for n in tape.nodes:
+            assert n.grad is None or n.grad.dtype == n.value.dtype
+
+        grads, _, _ = backward(params, spec, x, y, cfg, mode="eval")
+        wide, _, _ = backward({k: p.astype(np.float64)
+                               for k, p in params.items()},
+                              spec, x.astype(np.float64), y, cfg,
+                              mode="eval")
+        for name, g in grads.items():
+            assert g.dtype == np.float64
+            scale = np.abs(wide[name]).max()
+            assert np.abs(g - wide[name]).max() < 1e-5 * scale, name
 
     def test_loss_value_and_scores_returned(self):
         """backward reports the same loss as a plain evaluation."""

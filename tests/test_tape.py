@@ -2,6 +2,7 @@
 central finite differences, and traced values match the plain path."""
 
 import numpy as np
+import pytest
 
 from ebssc import tensor
 from ebssc.oracle import finite_diff
@@ -372,6 +373,76 @@ class TestEnergyOp:
         assert dead.any()
         np.testing.assert_array_equal(
             code.grad[dead], (w[..., None, None, None] * v)[dead])
+
+
+class TestEnergyLayouts:
+    """Both energy forms over the other layouts the networks use: v with
+    a singleton class axis against spatial class arm maps (Y, K, H, W),
+    as the digit model's ebssc block has them (``bias_maps=True``), and
+    per-channel (K,) arms with no class axis, as ssc blocks have them;
+    and per-channel arms shared by every class, where the gradient
+    contracts two leading axes at once.  The gradient contracts the code
+    over the leading axes each target does not keep."""
+
+    LAYOUTS = {"class_maps": ((2, 1, 3, 4, 4), (2, 3, 4, 4), (2, 2)),
+               "channel_arms": ((2, 3, 4, 4), (3,), (2,)),
+               "shared_arms": ((2, 2, 3, 4, 4), (3,), (2, 2))}
+
+    @classmethod
+    def _case(cls, layout, code_off_zero):
+        """[v, beta_plus, beta_minus, z] and the weights w of the energies:
+        thresholds drawn from two levels per arm, v off every kink, and a
+        code that is zero where |z| < 0.3, or off zero everywhere for
+        finite differences in z."""
+        rng = np.random.default_rng(3)
+        vshape, arms, lead = cls.LAYOUTS[layout]
+        bp = rng.choice([0.3, 0.5], arms)
+        bm = rng.choice([0.2, 0.4], arms)
+        v = _away_from_kinks(rng.standard_normal(vshape),
+                             [0.3, 0.5, -0.2, -0.4])
+        z = rng.standard_normal(lead + vshape[-3:])
+        if code_off_zero:
+            z = _away_from_kinks(z, [0.0])
+        else:
+            z[np.abs(z) < 0.3] = 0.0
+        return [v, bp, bm, z], rng.standard_normal(lead)
+
+    @staticmethod
+    def _weighted(ops, args, w, explicit):
+        v, bp, bm, z = args
+        if np.ndim(ops.value(bp)) == 1:
+            bp, bm = (ops.reshape(t, np.shape(ops.value(t)) + (1, 1))
+                      for t in (bp, bm))
+        if explicit:
+            e = ops.energy(v, bp, bm, z)
+        else:
+            code, norm = ops.normalize(ops.branch_code(v, bp, bm))
+            e = ops.energy(v, bp, bm, code, norm)
+        return ops.sum_all(ops.mul(e, ops.leaf(w)))
+
+    def _check(self, layout, wrt, explicit):
+        args, w = self._case(layout, code_off_zero=wrt == 3)
+
+        def fn(ops, x):
+            leaves = [x if i == wrt else ops.leaf(a)
+                      for i, a in enumerate(args)]
+            return self._weighted(ops, leaves, w, explicit)
+
+        assert _gradcheck(fn, args[wrt]).any()
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("wrt", [0, 1, 2], ids=["v", "bp", "bm"])
+    def test_closed_form(self, layout, wrt):
+        """||z_tilde||_2: z for v, -z+ for beta_plus, z- for beta_minus."""
+        self._check(layout, wrt, explicit=False)
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("wrt", [0, 1, 2, 3],
+                             ids=["v", "bp", "bm", "z"])
+    def test_explicit_form(self, layout, wrt):
+        """<v, z> - beta_plus.z+ + beta_minus.z- at a code that is no
+        block's optimum, including its gradient in z."""
+        self._check(layout, wrt, explicit=True)
 
 
 class TestPoolingOps:
