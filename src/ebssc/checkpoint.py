@@ -14,15 +14,16 @@ Loading is total: any malformed byte stream raises CheckpointError with
 the offending byte offset; the checksum is verified before any parsing
 so corruption is reported as such rather than as a spurious format
 error.  Parameters must fit the embedded network: the names and shapes
-``network.build`` gives it, each in a floating dtype; optimizer moments
-must be floating arrays of their parameters' shapes.
+``network.build`` gives it, each a finite floating array; optimizer
+moments must be finite floating arrays of their parameters' shapes.  A
+tensor name that is none of a checkpoint's is refused too.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,7 +56,6 @@ class Checkpoint:
     step: int = 0
     rng_state: dict | None = None
     whitening: Whitening | None = None
-    extra: dict = field(default_factory=dict)
 
 
 def _pack_tensors(tensors):
@@ -187,18 +187,25 @@ def _unpack_count(name, arr):
     return int(arr.item())
 
 
+def _check_array(what, arr, shape):
+    """Refuse ``arr`` unless it is a finite floating array of ``shape``:
+    one NaN parameter makes every score NaN."""
+    if arr.shape != shape or arr.dtype.kind != "f":
+        raise CheckpointError(f"{what} is {arr.dtype} {arr.shape}; it must "
+                              f"be a floating array of shape {shape}")
+    if not np.isfinite(arr).all():
+        raise CheckpointError(f"{what} holds non-finite values")
+
+
 def _check_params(spec, params):
-    """Refuse parameters that are not floating arrays with the names and
-    shapes that ``build`` gives ``spec``."""
+    """Refuse parameters that are not finite floating arrays with the
+    names and shapes that ``build`` gives ``spec``."""
     want = build(spec, seed=0)
     if set(params) != set(want):
         raise CheckpointError(f"parameters missing or unknown to the "
                               f"network: {sorted(set(params) ^ set(want))}")
     for name, arr in sorted(params.items()):
-        if arr.shape != want[name].shape or arr.dtype.kind != "f":
-            raise CheckpointError(
-                f"parameter {name} is {arr.dtype} {arr.shape}; the network "
-                f"needs a floating array of shape {want[name].shape}")
+        _check_array(f"parameter {name}", arr, want[name].shape)
 
 
 def save_checkpoint(path, ckpt):
@@ -216,7 +223,6 @@ def save_checkpoint(path, ckpt):
     if ckpt.whitening is not None:
         tensors["whiten.mean"] = ckpt.whitening.mean
         tensors["whiten.matrix"] = ckpt.whitening.matrix
-    tensors.update(ckpt.extra)
     write_tensor_file(path, tensors, serialize_network(ckpt.spec))
 
 
@@ -227,7 +233,7 @@ def load_checkpoint(path):
     except ConfigError as exc:
         raise CheckpointError(f"embedded network text invalid: {exc}") \
             from None
-    params, m, v, extra = {}, {}, {}, {}
+    params, m, v = {}, {}, {}
     meta = {"epoch": 0, "step": 0, "adam_step": 0}
     rng_state = None
     wmean = wmat = None
@@ -247,7 +253,8 @@ def load_checkpoint(path):
         elif name == "whiten.matrix":
             wmat = arr
         else:
-            extra[name] = arr
+            raise CheckpointError(
+                f"tensor {name!r} is not part of a checkpoint")
     _check_params(spec, params)
     opt_state = None
     if m or v:
@@ -256,11 +263,8 @@ def load_checkpoint(path):
                                   "parameter names")
         for name in sorted(params):
             for arr in (m[name], v[name]):
-                if arr.shape != params[name].shape or arr.dtype.kind != "f":
-                    raise CheckpointError(
-                        f"optimizer moment for {name} is {arr.dtype} "
-                        f"{arr.shape}; its parameter needs a floating "
-                        f"array of shape {params[name].shape}")
+                _check_array(f"optimizer moment for {name}", arr,
+                             params[name].shape)
         opt_state = OptimizerState(m=m, v=v, step=meta["adam_step"])
     whitening = None
     if wmean is not None or wmat is not None:
@@ -269,4 +273,4 @@ def load_checkpoint(path):
         whitening = Whitening(mean=wmean, matrix=wmat)
     return Checkpoint(spec=spec, params=params, opt_state=opt_state,
                       epoch=meta["epoch"], step=meta["step"],
-                      rng_state=rng_state, whitening=whitening, extra=extra)
+                      rng_state=rng_state, whitening=whitening)

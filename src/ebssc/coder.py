@@ -22,12 +22,6 @@ coding block, and the single-map encoders shrink with the branch rule
 behind ``Ops.branch_code`` (``shrinkage.branch_code``) and project with
 ``Ops.normalize``, so a one-block network's code is bitwise the
 encoder's.
-
-``code_from_correlation`` additionally accepts signed linear bonus terms
-(c_plus on the positive part, c_minus on the negative part): the two
-halves of the split-space feedback [z+; z-] that unrolled inference hands
-``Ops.branch_code`` whole.  With both bonuses zero it reduces exactly to
-shrink-then-normalize.
 """
 
 from __future__ import annotations
@@ -121,7 +115,6 @@ class CodeResult:
     code: np.ndarray
     pre_projection: np.ndarray
     lambda_star: float
-    thresholds_used: ThresholdPair
 
     @property
     def optimal_energy(self):
@@ -129,15 +122,14 @@ class CodeResult:
         return 2.0 * self.lambda_star
 
 
-def code_from_correlation(v, thresholds, c_plus=None, c_minus=None):
-    """Solve the coding problem given the correlation tensor directly."""
-    thresholds.require_proper()
+def code_from_correlation(v, thresholds):
+    """Solve the coding problem given the correlation tensor directly;
+    ``thresholds`` is a ThresholdPair, proper by construction."""
     z_tilde = shrinkage.branch_code(v, thresholds.beta_plus,
-                                    thresholds.beta_minus, c_plus, c_minus)
+                                    thresholds.beta_minus)
     code, norm = Ops().normalize(z_tilde)
     return CodeResult(code=code, pre_projection=z_tilde,
-                      lambda_star=0.5 * float(norm),
-                      thresholds_used=thresholds)
+                      lambda_star=0.5 * float(norm))
 
 
 def ssc_encode(x, bank, thresholds, pad=0):

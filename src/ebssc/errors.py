@@ -16,7 +16,8 @@ class ShapeError(ValueError):
 
 
 class ImproperThresholdError(ValueError):
-    """An asymmetric threshold pair violates -beta_minus <= beta_plus."""
+    """An asymmetric threshold pair holds NaN or violates -beta_minus <=
+    beta_plus; ``ThresholdPair`` raises it at construction."""
 
 
 class OracleDivergenceError(RuntimeError):

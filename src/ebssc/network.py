@@ -78,9 +78,10 @@ PARAM_INIT_OFFSET = 0.05
 class BlockSpec:
     """One block. Conv kinds use kernel=(K, C, kh, kw); maxpool uses
     kernel=(window,) with stride/pad giving the pool geometry.  ``beta``
-    (>= 0) sets the initial threshold level of coding blocks; ``bias_maps``
-    switches an ebssc block's class arm widths from per-channel scalars
-    to full spatial maps."""
+    (>= 0) sets an ssc block's initial arm widths only: ``build`` starts
+    ebssc class arms at PARAM_INIT_ARM whatever beta says, and other kinds
+    ignore it.  ``bias_maps`` switches an ebssc block's class arm widths
+    from per-channel scalars to full spatial maps."""
 
     kind: str
     kernel: tuple
@@ -184,9 +185,10 @@ def block_shapes(spec):
 
 
 def build(spec, seed, dtype=np.float32):
-    """Initialize parameters: banks ~ N(0, 2/fan_in); coding thresholds
-    from each block's beta (arm widths = beta, offset 0); ebssc class arms
-    at small constants.  Deterministic in ``seed``."""
+    """Initialize parameters: banks ~ N(0, 2/fan_in); ssc thresholds
+    from the block's beta (arm widths = beta, offset 0); ebssc class arms
+    at PARAM_INIT_ARM, whatever the block's beta.  Deterministic in
+    ``seed``."""
     rng = np.random.default_rng(seed)
     params = {}
     shapes = block_shapes(spec)

@@ -122,7 +122,6 @@ def pga_ssc(x, bank, thresholds, pad=0, iters=500, step=0.1, tol=1e-12):
     """
     if not isinstance(thresholds, ThresholdPair):
         thresholds = ThresholdPair.symmetric(float(thresholds))
-    thresholds.require_proper()
     v = tensor.cross_correlate(
         np.asarray(x, dtype=np.float64), np.asarray(bank, dtype=np.float64),
         pad)

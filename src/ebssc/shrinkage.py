@@ -36,6 +36,8 @@ class ThresholdPair:
     `beta_plus` gates the positive branch (active where v > beta_plus) and
     `beta_minus` the negative branch (active where v < -beta_minus). Entries
     may be scalars, per-channel (K, 1, 1) arrays, or full per-location maps.
+    A pair is proper by construction: one that ``proper`` refuses raises
+    ImproperThresholdError.
     """
 
     beta_plus: np.ndarray
@@ -46,10 +48,9 @@ class ThresholdPair:
         bm = np.asarray(self.beta_minus)
         object.__setattr__(self, "beta_plus", bp)
         object.__setattr__(self, "beta_minus", bm)
-        if np.isnan(bp).any() or np.isnan(bm).any():
-            raise ImproperThresholdError("thresholds contain NaN")
-        if np.isinf(bp).any() and not (bp[np.isinf(bp)] > 0).all():
-            raise ImproperThresholdError("beta_plus may not be -inf")
+        if not self.proper(bp, bm):
+            raise ImproperThresholdError("threshold pair holds NaN or "
+                                         "violates -beta_minus <= beta_plus")
 
     @classmethod
     def symmetric(cls, beta):
@@ -72,16 +73,6 @@ class ThresholdPair:
         with np.errstate(over="ignore", invalid="ignore"):
             return bool(np.all(beta_plus + beta_minus >= 0))
 
-    def is_proper(self):
-        """``proper`` for this pair."""
-        return self.proper(self.beta_plus, self.beta_minus)
-
-    def require_proper(self):
-        if not self.is_proper():
-            raise ImproperThresholdError(
-                "threshold pair violates -beta_minus <= beta_plus")
-        return self
-
 
 def branch_code(v, beta_plus, beta_minus, c_plus=None, c_minus=None):
     """Per-coefficient maximizer z_tilde of v·z - P(z) + c+·z+ + c-·z-
@@ -91,8 +82,8 @@ def branch_code(v, beta_plus, beta_minus, c_plus=None, c_minus=None):
     Without bonuses and with a proper pair at most one arm is active, so
     z_tilde = v - clip(v, -beta_minus, beta_plus), the dead zone's
     distance, with no arm choice and no buffer beyond the one clip
-    allocates; callers check properness (an improper pair would need both
-    arms).  A +inf beta_minus disables the negative arm with no special
+    allocates; callers pass a proper pair (an improper one would need
+    both arms).  A +inf beta_minus disables the negative arm with no special
     case: z_tilde = max(v - beta_plus, 0).  Bonuses can make both arms
     active, and then the larger one wins.  Either way sign(z_tilde) flags
     the active arm, which is all a subgradient needs.  NaN entries of v
@@ -123,9 +114,8 @@ def branch_code(v, beta_plus, beta_minus, c_plus=None, c_minus=None):
 
 
 def shrink(v, pair):
-    """Apply two-sided shrinkage elementwise. Raises on improper pairs;
-    NaN entries of v stay NaN."""
-    pair.require_proper()
+    """Apply two-sided shrinkage elementwise with a ThresholdPair, which
+    is proper by construction; NaN entries of v stay NaN."""
     return branch_code(v, pair.beta_plus, pair.beta_minus)
 
 

@@ -18,6 +18,7 @@ from ebssc.learn import (OptimizerState, adam_step, dataset_objective,
 from ebssc.network import build, forward, unrolled_infer
 from ebssc.oracle import finite_diff, ista_csc, pga_ssc, unit_recon_solve
 from ebssc.shrinkage import crelu_split, shrink
+from ebssc.tape import Ops
 
 
 def _toy_energy_spec(beta=0.15):
@@ -233,30 +234,17 @@ class TestPropernessUnderOptimization:
         state = OptimizerState.init_like(params)
         cfg = TrainConfig(learning_rate=0.05)
         rng = np.random.default_rng(19)
-        violations = 0
         for _ in range(1000):
             grads = {k: rng.standard_normal(np.shape(p))
                      for k, p in params.items()}
             params, state = adam_step(params, grads, state, cfg)
         for i, b in enumerate(spec.blocks):
-            if b.kind == "ssc":
-                bp = params[f"block{i}.w_plus"]
-                bm = params[f"block{i}.w_minus"]
-                violations += int((bp + bm < 0).sum())
-            elif b.kind == "ebssc":
-                cb = ClassBiasParams(
-                    w_hat_plus=params[f"block{i}.w_plus"],
-                    w_hat_minus=params[f"block{i}.w_minus"],
-                    offset=params[f"block{i}.offset"])
-                for y in range(spec.num_classes):
-                    pair = coder.class_thresholds(cb, y)
-                    bp = np.broadcast_arrays(pair.beta_plus,
-                                             pair.beta_minus)[0]
-                    violations += int((np.asarray(pair.beta_plus)
-                                       + np.asarray(pair.beta_minus)
-                                       < 0).sum())
-                    assert pair.is_proper()
-        assert violations == 0
+            if b.kind in ("ssc", "ebssc"):
+                # Every class's thresholds at once; the pair raises
+                # ImproperThresholdError on any improper entry.
+                ThresholdPair(*coder.arm_thresholds(
+                    Ops(), params[f"block{i}.w_plus"],
+                    params[f"block{i}.w_minus"], params[f"block{i}.offset"]))
 
 
 class TestUnrollingMonotonicity:

@@ -16,6 +16,12 @@ from ebssc.learn import OptimizerState, TrainConfig, adam_step
 from ebssc.network import BlockSpec, NetworkSpec, build
 
 
+def _one_nan(shape):
+    arr = np.zeros(shape, np.float32)
+    arr.flat[arr.size // 2] = np.nan
+    return arr
+
+
 def _tiny_spec():
     blocks = (BlockSpec("ssc", (3, 1, 3, 3), pad=1, beta=0.1),
               BlockSpec("ebssc", (4, 6, 3, 3), pad=1, beta=0.1))
@@ -234,15 +240,17 @@ class TestCheckpoint:
         ("param.block0.offset", None),
         ("param.block2.w_plus", np.full((1, 24, 14, 14), 0.01, np.float32)),
         ("param.block3.bank", np.zeros((2, 24, 1, 1), np.float32)),
-        ("param.block0.bank", np.zeros((12, 1, 5, 5), np.int64))],
+        ("param.block0.bank", np.zeros((12, 1, 5, 5), np.int64)),
+        ("param.block0.bank", _one_nan((12, 1, 5, 5)))],
         ids=["missing_offset", "one_class_arms", "unknown_name",
-             "integer_bank"])
+             "integer_bank", "nan_bank"])
     def test_parameters_must_fit_the_network(self, tmp_path, name, arr):
-        """Parameters that are not the floating arrays, with the names and
-        shapes, that ``build`` gives the embedded network are refused at
-        load: a missing offset would fail the first forward pass with a
-        KeyError, and one class's arms would broadcast over every class
-        and score as if the model had ten."""
+        """Parameters that are not the finite floating arrays, with the
+        names and shapes, that ``build`` gives the embedded network are
+        refused at load: a missing offset would fail the first forward
+        pass with a KeyError, one class's arms would broadcast over every
+        class and score as if the model had ten, and one NaN in a bank
+        makes every score NaN, which evaluation reads as class 0."""
         spec = variant_spec("digits_ssc_ebc2")
         path = tmp_path / "run.ckpt"
         save_checkpoint(str(path), Checkpoint(spec=spec,
@@ -258,13 +266,18 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("name, arr", [
         ("adam.m.block2.w_plus", np.zeros((1, 24, 14, 14), np.float32)),
-        ("adam.v.block0.bank", np.zeros((12, 1, 5, 5), np.int64))],
-        ids=["one_class_moment", "integer_moment"])
+        ("adam.v.block0.bank", np.zeros((12, 1, 5, 5), np.int64)),
+        ("adam.m.block0.bank", _one_nan((12, 1, 5, 5))),
+        ("adam.v.block2.offset", np.full(24, np.inf, np.float32))],
+        ids=["one_class_moment", "integer_moment", "nan_moment",
+             "inf_moment"])
     def test_optimizer_moments_must_fit_their_parameters(self, tmp_path,
                                                          name, arr):
-        """An optimizer moment whose shape is not its parameter's, or whose
-        dtype is not floating, is refused at load: ``adam_step`` would
-        broadcast one class's moment over every class."""
+        """An optimizer moment whose shape is not its parameter's, whose
+        dtype is not floating, or that holds a non-finite value is refused
+        at load: ``adam_step`` would broadcast one class's moment over
+        every class, and a NaN moment turns its parameter NaN at the next
+        step."""
         spec = variant_spec("digits_ssc_ebc2")
         params = build(spec, seed=0)
         path = tmp_path / "run.ckpt"
@@ -275,6 +288,21 @@ class TestCheckpoint:
         tensors[name] = arr
         write_tensor_file(str(path), tensors, text=text)
         with pytest.raises(CheckpointError, match="optimizer moment"):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("old, new", [
+        ("param.block0.bank", "parm.block0.bank"), (None, "notes")],
+        ids=["misspelled_prefix", "extra_tensor"])
+    def test_unknown_tensor_is_refused(self, tmp_path, old, new):
+        """A tensor name that is no part of a checkpoint is refused at
+        load, by name, rather than dropped."""
+        ck = self._snapshot()
+        path = tmp_path / "run.ckpt"
+        save_checkpoint(str(path), ck)
+        text, tensors = read_tensor_file(str(path))
+        tensors[new] = tensors.pop(old) if old else np.zeros(3)
+        write_tensor_file(str(path), tensors, text=text)
+        with pytest.raises(CheckpointError, match=repr(new)):
             load_checkpoint(str(path))
 
     @pytest.mark.parametrize("bad", [np.arange(2, dtype=np.int64),

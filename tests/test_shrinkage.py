@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from ebssc import ImproperThresholdError
-from ebssc.shrinkage import ThresholdPair, crelu_split, shrink
+from ebssc.shrinkage import ThresholdPair, branch_code, crelu_split, shrink
 
 from reference import shrink_loops
 
 
 class TestThresholdPair:
-    """Construction and the properness predicate."""
+    """Construction and the properness rule: a pair that ``proper``
+    refuses does not construct."""
 
     def test_symmetric(self):
         """symmetric(b) uses the same level on both branches."""
@@ -26,16 +27,16 @@ class TestThresholdPair:
         assert np.isposinf(p.beta_minus)
 
     def test_proper_iff_dead_zone_nonempty(self):
-        """-beta_minus <= beta_plus decides properness elementwise."""
-        assert ThresholdPair(np.asarray(0.2), np.asarray(-0.1)).is_proper()
-        assert not ThresholdPair(np.asarray(0.2),
-                                 np.asarray(-0.3)).is_proper()
-
-    def test_require_proper_raises(self):
-        """require_proper raises on an inverted pair."""
-        bad = ThresholdPair(np.asarray([0.1, 0.0]), np.asarray([0.2, -0.5]))
+        """-beta_minus <= beta_plus decides properness: a pair with an
+        empty dead zone does not construct."""
+        ThresholdPair(np.asarray(0.2), np.asarray(-0.1))
         with pytest.raises(ImproperThresholdError):
-            bad.require_proper()
+            ThresholdPair(np.asarray(0.2), np.asarray(-0.3))
+
+    def test_inverted_entry_refused_at_construction(self):
+        """One inverted entry among proper ones refuses the whole pair."""
+        with pytest.raises(ImproperThresholdError):
+            ThresholdPair(np.asarray([0.1, 0.0]), np.asarray([0.2, -0.5]))
 
     def test_nan_rejected(self):
         """NaN thresholds are refused at construction."""
@@ -51,19 +52,24 @@ class TestThresholdPair:
     def test_proper_rule_per_entry(self, bp, bm, want):
         """ThresholdPair.proper, on one entry among proper ones: NaN and a
         -inf threshold on either side are refused, and a +inf beta_minus
-        (a disabled negative arm) passes -beta_minus <= beta_plus."""
+        (a disabled negative arm) passes -beta_minus <= beta_plus.  The
+        constructor applies the same rule."""
         bps, bms = np.full(4, 0.1), np.full(4, 0.1)
         bps[2], bms[2] = bp, bm
         assert ThresholdPair.proper(bps, bms) is want
+        if want:
+            ThresholdPair(bps, bms)
+        else:
+            with pytest.raises(ImproperThresholdError):
+                ThresholdPair(bps, bms)
 
     def test_disabled_branch_always_proper(self):
         """A +inf beta_minus is proper at any finite beta_plus; -inf is
         not a disabled arm but an inverted pair."""
-        p = ThresholdPair(np.asarray([0.0, 0.1]),
-                          np.asarray([np.inf, 0.2]))
-        assert p.is_proper()
-        assert not ThresholdPair(np.asarray([0.0, 0.1]),
-                                 np.asarray([-np.inf, 0.2])).is_proper()
+        ThresholdPair(np.asarray([0.0, 0.1]), np.asarray([np.inf, 0.2]))
+        with pytest.raises(ImproperThresholdError):
+            ThresholdPair(np.asarray([0.0, 0.1]),
+                          np.asarray([-np.inf, 0.2]))
 
 
 class TestShrink:
@@ -107,7 +113,7 @@ class TestShrink:
         np.testing.assert_array_equal(out, np.maximum(v, 0))
 
     def test_improper_raises(self):
-        """shrink refuses an improper pair outright."""
+        """An improper pair never reaches shrink: building it raises."""
         with pytest.raises(ImproperThresholdError):
             shrink(np.zeros(3), ThresholdPair(np.asarray(-0.5),
                                               np.asarray(0.1)))
@@ -116,6 +122,34 @@ class TestShrink:
         """beta_plus < 0 (still proper) makes small positives active."""
         p = ThresholdPair(np.asarray(-0.1), np.asarray(0.3))
         np.testing.assert_allclose(shrink(np.asarray([0.05]), p), [0.15])
+
+
+class TestFeedbackDrive:
+    """branch_code's additive drive terms, the two halves of the
+    split-space feedback that unrolled inference hands Ops.branch_code."""
+
+    def test_zero_drive_is_plain_coding(self):
+        """c+ = c- = 0 reproduces the drive-free branch rule bitwise."""
+        rng = np.random.default_rng(42)
+        v = rng.standard_normal((3, 5, 5))
+        plain = branch_code(v, 0.2, 0.2)
+        driven = branch_code(v, 0.2, 0.2, np.zeros_like(v), np.zeros_like(v))
+        np.testing.assert_array_equal(driven, plain)
+
+    def test_positive_drive_widens_positive_support(self):
+        """A positive c+ can only grow the positive active set."""
+        rng = np.random.default_rng(42)
+        v = rng.standard_normal((3, 5, 5))
+        plain = branch_code(v, 0.3, 0.3)
+        driven = branch_code(v, 0.3, 0.3, np.full_like(v, 0.1),
+                             np.zeros_like(v))
+        assert ((driven > 0) | ~(plain > 0)).all()
+
+    def test_larger_arm_wins_when_both_are_active(self):
+        """Drive can make both arms active; the larger magnitude wins."""
+        out = branch_code(np.zeros(2), 0.1, 0.1, np.asarray([0.5, 0.2]),
+                          np.asarray([-0.2, -0.5]))
+        np.testing.assert_allclose(out, [0.4, -0.4])
 
 
 class TestTwoReluIdentity:
