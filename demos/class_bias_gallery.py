@@ -39,16 +39,12 @@ def main():
 
     x = xte[:1]
     fwd = forward(params, spec, x, switches=True)
-    bias_tiles = [decode_class_bias(params, spec, y, at,
-                                    {j: fwd.hypothesis(y, j, sw)
-                                     for j, sw in fwd.switches.items()})[0, 0]
-                  for y in range(10)]
-    emit_image_grid([bias_tiles], args.bias_out)
+    bias = decode_class_bias(params, spec, at, fwd.switches)
+    emit_image_grid([list(bias[0, :, 0])], args.bias_out)
     print(f"class-bias gallery -> {args.bias_out}")
 
-    resid_tiles = [decode_residual(params, spec, x, y, at)[0, 0]
-                   for y in range(10)]
-    emit_image_grid([resid_tiles], args.residual_out)
+    resid = decode_residual(params, spec, x, at)
+    emit_image_grid([list(resid[0, :, 0])], args.residual_out)
     scores = np.asarray(fwd.scores)[0]
     print(f"residual gallery   -> {args.residual_out} "
           f"(true label {yte[0]}, argmax {int(scores.argmax())})")

@@ -270,6 +270,9 @@ def load_checkpoint(path):
     if wmean is not None or wmat is not None:
         if wmean is None or wmat is None:
             raise CheckpointError("whitening needs both mean and matrix")
+        d = int(np.prod(spec.input_shape))
+        _check_array("whitening mean", wmean, (d,))
+        _check_array("whitening matrix", wmat, (d, d))
         whitening = Whitening(mean=wmean, matrix=wmat)
     return Checkpoint(spec=spec, params=params, opt_state=opt_state,
                       epoch=meta["epoch"], step=meta["step"],

@@ -252,14 +252,10 @@ def _cmd_decode(args):
         grid = [[decode(ckpt.params, spec, code, layer, switches)]]
     elif args.mode == "bias":
         fwd = forward(ckpt.params, spec, x, switches=True)
-        grid = [[decode_class_bias(ckpt.params, spec, y, layer,
-                                   {k: fwd.hypothesis(y, k, v[0])
-                                    for k, v in fwd.switches.items()})
-                 for y in range(spec.num_classes)]]
+        switches = {k: v[0] for k, v in fwd.switches.items()}
+        grid = [list(decode_class_bias(ckpt.params, spec, layer, switches))]
     else:
-        imgs = [decode_residual(ckpt.params, spec, x, y, layer)[0]
-                for y in range(spec.num_classes)]
-        grid = [imgs]
+        grid = [list(decode_residual(ckpt.params, spec, x, layer)[0])]
     emit_image_grid(grid, args.out)
     print(f"wrote {args.out}")
     return EXIT_OK

@@ -53,7 +53,6 @@ class Dataset:
     images: np.ndarray
     labels: np.ndarray
     class_names: tuple
-    whitening: Whitening | None = None
 
     def __post_init__(self):
         if len(self.images) != len(self.labels):
@@ -173,8 +172,7 @@ def preprocess(dataset, stats=None):
         stats = Whitening(mean=mean, matrix=matrix)
     return Dataset(images=whiten(dataset.images, stats),
                    labels=dataset.labels,
-                   class_names=dataset.class_names,
-                   whitening=stats), stats
+                   class_names=dataset.class_names), stats
 
 
 def augment(image, rng, pad=4):

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import DataError
 from .network import forward, unrolled_infer
 from .tape import Ops, Tape
 
@@ -163,8 +164,11 @@ def _batches(n, batch_size, order):
 
 
 def evaluate(params, spec, images, labels, batch_size=200, unroll_T=0):
-    """(error rate, mean data loss) over a labelled set, eval mode."""
+    """(error rate, mean data loss) over a labelled set, eval mode.
+    Raises DataError when the set is empty."""
     n = len(labels)
+    if n == 0:
+        raise DataError("cannot evaluate an empty split")
     wrong = 0
     total_loss = 0.0
     ops = Ops()
@@ -203,8 +207,10 @@ def train(cfg, spec, train_images, train_labels, test_images=None,
     Metric lines `epoch,iter,split,loss,error_rate` are appended to the
     outcome and passed to ``log`` as produced.  Deterministic in
     ``cfg.seed``: data order, dropout masks, and augmentation all draw
-    from one seeded generator.
+    from one seeded generator.  An empty training split is a DataError.
     """
+    if len(train_labels) == 0:
+        raise DataError("cannot train on an empty split")
     rng = np.random.default_rng(cfg.seed)
     if params is None:
         from .network import build

@@ -494,33 +494,29 @@ def decode(params, spec, code, from_block, switches):
     return t
 
 
-def decode_class_bias(params, spec, y, at_block, switches):
-    """Decode the class-y threshold bias pattern of block ``at_block``
-    as if it were that block's activation: the per-coefficient mean shift
-    (beta_minus - beta_plus)/2 of class y's thresholds (``arm_thresholds``
-    in float64), broadcast over code locations."""
+def decode_class_bias(params, spec, at_block, switches):
+    """Decode block ``at_block``'s class bias patterns, every class at
+    once (class axis at -4): the mean shift (beta_minus - beta_plus)/2 of
+    each class's thresholds (``arm_thresholds`` in float64), broadcast
+    over code locations.  ``switches`` is forward's record, unsliced."""
     if spec.blocks[at_block].kind != "ebssc":
         raise ValueError(f"block {at_block} has no class bias")
     wp, wm, off = (np.asarray(params[f"block{at_block}.{part}"],
                               dtype=np.float64)
                    for part in ("w_plus", "w_minus", "offset"))
-    bp, bm = arm_thresholds(Ops(), wp[y], wm[y], off)
+    bp, bm = arm_thresholds(Ops(), wp, wm, off)
     shift = (bm - bp) / 2.0
     hw = block_shapes(spec)[at_block][1:]
     return decode(params, spec, np.broadcast_to(shift, shift.shape[:-2] + hw),
                   at_block, switches)
 
 
-def decode_residual(params, spec, x, y, at_block):
-    """Decode block ``at_block``'s codes under hypothesis y, minus the
-    decoded class-bias contribution.  Hypothesis y is sliced from the
-    vectorized pass."""
+def decode_residual(params, spec, x, at_block):
+    """Decode block ``at_block``'s codes minus their class bias patterns,
+    for every hypothesis from one forward pass (class axis at -4)."""
     fwd = forward(params, spec, x, switches=True)
-    code = fwd.hypothesis(y, at_block, fwd.codes[at_block])
-    switches = {j: fwd.hypothesis(y, j, sw) for j, sw in fwd.switches.items()}
-    img = decode(params, spec, code, at_block, switches)
-    bias_img = decode_class_bias(params, spec, y, at_block, switches)
-    return img - bias_img
+    img = decode(params, spec, fwd.codes[at_block], at_block, fwd.switches)
+    return img - decode_class_bias(params, spec, at_block, fwd.switches)
 
 
 def class_energy_breakdown(params, spec, x):

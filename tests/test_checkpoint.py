@@ -290,6 +290,27 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="optimizer moment"):
             load_checkpoint(str(path))
 
+    @pytest.mark.parametrize("name, arr", [
+        ("whiten.mean", np.full(3, np.nan)),
+        ("whiten.matrix", np.zeros((2, 5))),
+        ("whiten.mean", _one_nan((36,))),
+        ("whiten.matrix", np.eye(36, dtype=np.int64))],
+        ids=["short_mean", "misshapen_matrix", "nan_mean",
+             "integer_matrix"])
+    def test_whitening_must_fit_the_input(self, tmp_path, name, arr):
+        """A whitening mean that is not a finite floating (D,) array, or a
+        matrix that is not (D, D), with D = C*H*W of the network input, is
+        refused at load: whitening an image with it would raise a numpy
+        broadcast error, or blame the input for the checkpoint's NaN."""
+        ck = self._snapshot()
+        path = tmp_path / "run.ckpt"
+        save_checkpoint(str(path), ck)
+        text, tensors = read_tensor_file(str(path))
+        tensors[name] = arr
+        write_tensor_file(str(path), tensors, text=text)
+        with pytest.raises(CheckpointError, match="whitening"):
+            load_checkpoint(str(path))
+
     @pytest.mark.parametrize("old, new", [
         ("param.block0.bank", "parm.block0.bank"), (None, "notes")],
         ids=["misspelled_prefix", "extra_tensor"])

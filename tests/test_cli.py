@@ -6,7 +6,7 @@ Exit codes: 0 success, 1 usage, 2 unreadable data, 3 failed checks.
 import numpy as np
 import pytest
 
-from ebssc import cli, network
+from ebssc import cli, data, network
 from ebssc.checkpoint import Checkpoint, load_checkpoint, \
     read_tensor_file, save_checkpoint, write_tensor_file
 from ebssc.cli import main
@@ -119,6 +119,15 @@ class TestEval:
                    "--unroll", "1"])
         assert rc == 1
         assert "coding blocks" in capsys.readouterr().err
+
+    def test_empty_test_split_exits_two(self, trained, tmp_path, capsys):
+        """A test split of valid IDX files holding no images is a data
+        error, not a ZeroDivisionError traceback."""
+        empty = data.write_digits_idx(str(tmp_path / "empty"), n_train=10,
+                                      n_test=0, seed=7)
+        rc = main(["eval", "--ckpt", str(trained), "--data", empty])
+        assert rc == 2
+        assert "empty" in capsys.readouterr().err
 
     def test_checkpoint_missing_a_parameter_exits_two(
             self, trained, tmp_path, digits_dir, capsys):
@@ -270,6 +279,27 @@ class TestDecode:
         assert rc == 0
         img = load_ppm(str(out))
         assert img.shape == (3, 28 + 4, tiles * 28 + (tiles + 1) * 2)
+
+    def test_residual_mode_runs_one_forward_pass(self, trained, digits_dir,
+                                                 tmp_path, monkeypatch):
+        """Every class's residual tile comes from one forward pass, not
+        one pass per hypothesis."""
+        calls = []
+        real = network.forward
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(network, "forward", counted)
+        monkeypatch.setattr(cli, "forward", counted)
+        rc = main(["decode", "--ckpt", str(trained),
+                   "--image",
+                   str(digits_dir / "t10k-images-idx3-ubyte"),
+                   "--layer", "2", "--mode", "residual",
+                   "--out", str(tmp_path / "residual.ppm")])
+        assert rc == 0
+        assert len(calls) == 1
 
     def test_pool_layer_is_usage_error(self, trained, digits_dir,
                                        tmp_path):

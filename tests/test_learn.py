@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from ebssc import DataError
 from ebssc.config import variant_spec
 from ebssc.data import digits_arrays
 from ebssc.learn import OptimizerState, TrainConfig, adam_step, backward, \
@@ -343,6 +344,14 @@ class TestTrainLoop:
         train(cfg, spec, xtr[:50], ytr[:50], augment_fn=jitter)
         assert seen and all(s == (1, 28, 28) for s in seen)
 
+    def test_empty_training_split_is_a_data_error(self, digits_small):
+        """No training images: a DataError, not a ZeroDivisionError in
+        the epoch's mean loss."""
+        xtr, ytr, _, _ = digits_small
+        spec = variant_spec("digits_ssc_ebc2")
+        with pytest.raises(DataError, match="empty"):
+            train(TrainConfig(epochs=1, seed=0), spec, xtr[:0], ytr[:0])
+
 
 class TestEvaluate:
     """Error-rate accounting and the whole-set objective."""
@@ -355,6 +364,14 @@ class TestEvaluate:
         err, tloss = evaluate(params, spec, xtr, ytr)
         np.testing.assert_allclose(err, (ytr != 0).mean(), atol=1e-12)
         np.testing.assert_allclose(tloss, math.log(10.0), atol=1e-5)
+
+    def test_empty_split_is_a_data_error(self, digits_small):
+        """No images to score: a DataError, not a ZeroDivisionError in
+        the error rate."""
+        _, _, xte, yte = digits_small
+        spec = variant_spec("digits_ssc_ebc2")
+        with pytest.raises(DataError, match="empty"):
+            evaluate(build(spec, seed=0), spec, xte[:0], yte[:0])
 
     def test_dataset_objective_matches_single_batch(self, digits_small):
         """Batch-weighted averaging reproduces the whole-set loss."""

@@ -10,6 +10,7 @@ from ebssc.learn import evaluate
 from ebssc.network import BlockSpec, NetworkSpec, block_shapes, build, \
     class_energy_breakdown, decode, decode_class_bias, decode_residual, \
     forward, unrolled_infer
+from ebssc.coder import arm_thresholds
 from ebssc.tape import Ops
 
 import reference
@@ -511,51 +512,75 @@ class TestDecode:
             decode(params, spec, res.codes[2][:, 0], 2, res.switches)
 
     def test_class_bias_decode_shapes(self):
-        """The threshold bias pattern decodes to an input-shaped map."""
+        """Every class's threshold bias pattern decodes to an input-shaped
+        map, with the class axis at -4."""
         spec = _toy_energy_spec()
         params = _generic_params(spec)
         x = np.random.default_rng(42).standard_normal((1, 1, 8, 8))
         res = forward(params, spec, x, switches=True)
-        for y in range(3):
-            img = decode_class_bias(params, spec, y, 2, res.switches)
-            assert img.shape[-3:] == (1, 8, 8)
+        img = decode_class_bias(params, spec, 2, res.switches)
+        assert img.shape == (1, 3, 1, 8, 8)
 
     def test_class_bias_decode_needs_biased_block(self):
         """ssc blocks carry no class bias to decode."""
         spec = _toy_energy_spec()
         params = build(spec, seed=0)
         with pytest.raises(ValueError):
-            decode_class_bias(params, spec, 0, 0, {})
+            decode_class_bias(params, spec, 0, {})
 
     def test_residual_decomposition(self):
-        """decoded codes == residual + decoded class bias."""
+        """decoded codes == residual + decoded class bias, for every
+        hypothesis at once."""
         spec = _toy_energy_spec()
         params = _generic_params(spec)
         x = np.random.default_rng(42).standard_normal((1, 1, 8, 8))
         res = forward(params, spec, x, switches=True)
-        total = decode(params, spec, res.codes[2][:, 2], 2, res.switches)
-        bias = decode_class_bias(params, spec, 2, 2, res.switches)
-        residual = decode_residual(params, spec, x, 2, 2)
-        np.testing.assert_allclose(np.asarray(total),
-                                   np.asarray(residual)
-                                   + np.asarray(bias), atol=1e-10)
+        total = decode(params, spec, res.codes[2], 2, res.switches)
+        bias = decode_class_bias(params, spec, 2, res.switches)
+        residual = decode_residual(params, spec, x, 2)
+        assert residual.shape == (1, 3, 1, 8, 8)
+        np.testing.assert_allclose(total, residual + bias, atol=1e-10)
 
     def test_residual_takes_each_hypothesis_own_pool_switches(self):
-        """A pool above the first ebssc block pools every hypothesis
-        separately; the residual of y decodes through y's switches."""
-        blocks = (BlockSpec("ebssc", (2, 1, 3, 3), pad=1, beta=0.15),
-                  BlockSpec("maxpool", (2,), stride=2, pad=0),
-                  BlockSpec("ebssc", (3, 4, 3, 3), pad=1, beta=0.15))
-        spec = NetworkSpec(blocks=blocks, classifier=("energy", 0),
-                           num_classes=3, input_shape=(1, 8, 8))
-        params = _generic_params(spec)
-        x = np.random.default_rng(42).standard_normal((2, 1, 8, 8))
-        res = forward(params, spec, x, switches=True)
-        assert res.switches[1].shape[:2] == (2, 3)
-        for y in range(3):
-            switches = {1: res.switches[1][:, y]}
-            total = decode(params, spec, res.codes[2][:, y], 2, switches)
-            bias = decode_class_bias(params, spec, y, 2, switches)
-            np.testing.assert_allclose(
-                decode_residual(params, spec, x, y, 2), total - bias,
-                atol=1e-12)
+        """Slice y of the whole-axis decodes is bitwise class y's own
+        decode: codes[:, y] through hypothesis y's switches, minus class
+        y's bias pattern.  Holds in float32 and float64, with the pool
+        below the class axis (tied arms and bias maps) and with one above
+        it (pooled per hypothesis)."""
+        pool_above = NetworkSpec(
+            blocks=(BlockSpec("ebssc", (2, 1, 3, 3), pad=1, beta=0.15),
+                    BlockSpec("maxpool", (2,), stride=2, pad=0),
+                    BlockSpec("ebssc", (3, 4, 3, 3), pad=1, beta=0.15)),
+            classifier=("energy", 0), num_classes=3, input_shape=(1, 8, 8))
+        for spec in (_toy_energy_spec(), _toy_energy_spec(bias_maps=True),
+                     pool_above):
+            for dtype in (np.float32, np.float64):
+                params = _generic_params(spec, dtype=dtype)
+                x = np.random.default_rng(42).standard_normal(
+                    (2, 1, 8, 8)).astype(dtype)
+                res = forward(params, spec, x, switches=True)
+                bias = decode_class_bias(params, spec, 2, res.switches)
+                residual = decode_residual(params, spec, x, 2)
+                for y in range(3):
+                    switches = {j: res.hypothesis(y, j, sw)
+                                for j, sw in res.switches.items()}
+                    own_bias = _class_bias_image(params, spec, y, 2,
+                                                 switches)
+                    own = decode(params, spec, res.codes[2][:, y], 2,
+                                 switches) - own_bias
+                    np.testing.assert_array_equal(
+                        np.broadcast_to(bias, residual.shape)[:, y],
+                        own_bias)
+                    np.testing.assert_array_equal(residual[:, y], own)
+
+
+def _class_bias_image(params, spec, y, at, switches):
+    """Class y's bias pattern alone: its arms' mean shift, in float64,
+    broadcast over block ``at``'s code and decoded."""
+    wp, wm, off = (np.asarray(params[f"block{at}.{part}"], dtype=np.float64)
+                   for part in ("w_plus", "w_minus", "offset"))
+    bp, bm = arm_thresholds(Ops(), wp[y], wm[y], off)
+    shift = (bm - bp) / 2.0
+    hw = block_shapes(spec)[at][1:]
+    return decode(params, spec, np.broadcast_to(shift, shift.shape[:-2] + hw),
+                  at, switches)
