@@ -57,11 +57,11 @@ def main():
         w_hat_minus=rng.uniform(0.0, 0.1, (10, 8)),
         offset=rng.uniform(-0.05, 0.05, 8))
     print("\nper-class energies under the same bank:")
+    enc = ebssc_encode(x, bank, params, pad=2)
+    beta_plus = class_thresholds(params).beta_plus
     for y in range(10):
-        enc = ebssc_encode(x, bank, params, y, pad=2)
-        tp = class_thresholds(params, y)
-        bp = float(np.asarray(tp.beta_plus).mean())
-        print(f"  class {y}: energy {enc.optimal_energy:8.4f}   "
+        bp = float(beta_plus[y].mean())
+        print(f"  class {y}: energy {enc.optimal_energy[y]:8.4f}   "
               f"mean beta_plus {bp:+.4f}")
     return 1 if beaten else 0
 

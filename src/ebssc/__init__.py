@@ -10,8 +10,7 @@ decoding, and iterative oracles that certify the closed forms.
 
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .coder import (ClassBiasParams, CodeResult, class_thresholds,
-                    code_from_correlation, ebssc_encode, ssc_encode,
-                    unit_scale_to_lsq)
+                    ebssc_encode, ssc_encode, unit_scale_to_lsq)
 from .config import (RunConfig, parse_config, parse_network,
                      serialize_config, serialize_network, variant_spec)
 from .data import Dataset, Whitening, augment, digits_arrays, load_idx, \
@@ -33,13 +32,12 @@ __all__ = [
     "EnergyBreakdown", "ImproperThresholdError", "NetworkSpec",
     "OracleDivergenceError", "RunConfig", "ShapeError", "ThresholdPair",
     "TrainConfig", "Whitening", "augment", "build",
-    "class_energy_breakdown", "class_thresholds", "code_from_correlation",
-    "decode", "decode_class_bias", "decode_residual", "digits_arrays",
-    "e_class", "e_code", "e_reparam", "ebssc_encode",
-    "evaluate", "forward", "ista_csc", "load_checkpoint", "load_idx",
-    "parse_config", "parse_network", "pga_ssc", "preprocess",
-    "run_check_suite", "save_checkpoint", "serialize_config",
-    "serialize_network", "shrink", "ssc_encode", "train",
-    "unit_recon_solve", "unit_scale_to_lsq", "unrolled_infer",
-    "variant_spec",
+    "class_energy_breakdown", "class_thresholds", "decode",
+    "decode_class_bias", "decode_residual", "digits_arrays", "e_class",
+    "e_code", "e_reparam", "ebssc_encode", "evaluate", "forward",
+    "ista_csc", "load_checkpoint", "load_idx", "parse_config",
+    "parse_network", "pga_ssc", "preprocess", "run_check_suite",
+    "save_checkpoint", "serialize_config", "serialize_network", "shrink",
+    "ssc_encode", "train", "unit_recon_solve", "unit_scale_to_lsq",
+    "unrolled_infer", "variant_spec",
 ]

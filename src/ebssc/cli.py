@@ -64,8 +64,6 @@ def _build_parser():
     n.add_argument("--ckpt", required=True)
     n.add_argument("--image", required=True,
                    help="PPM file, or an IDX image file (see --index)")
-    n.add_argument("--class", dest="cls", default="all",
-                   help="a class id, or 'all'")
     n.add_argument("--index", type=int, default=0,
                    help="record to take when --image is an IDX file")
     n.add_argument("--out", default=None,
@@ -182,18 +180,6 @@ def _load_image(path, index, spec, whitening):
 def _cmd_encode(args):
     ckpt = load_checkpoint(args.ckpt)
     x = _load_image(args.image, args.index, ckpt.spec, ckpt.whitening)
-    num_classes = ckpt.spec.num_classes
-    if args.cls == "all":
-        wanted = list(range(num_classes))
-    else:
-        try:
-            wanted = [int(args.cls)]
-        except ValueError:
-            raise _UsageExit(f"--class must be an integer or 'all', "
-                             f"got {args.cls!r}") from None
-        if not 0 <= wanted[0] < num_classes:
-            raise _UsageExit(f"--class out of range 0..{num_classes - 1}")
-
     fwd = forward(ckpt.params, ckpt.spec, x)
     tensors = {}
     for i, b in enumerate(ckpt.spec.blocks):
@@ -201,8 +187,8 @@ def _cmd_encode(args):
             continue
         code = np.asarray(fwd.codes[i])[0]
         if fwd.carries_class_axis(i):
-            for y in wanted:
-                tensors[f"code.block{i}.class{y}"] = code[y]
+            for y, code_y in enumerate(code):
+                tensors[f"code.block{i}.class{y}"] = code_y
         else:
             tensors[f"code.block{i}"] = fwd.hypothesis(0, i, code)
     if ckpt.spec.classifier[0] == "energy":

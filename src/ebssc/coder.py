@@ -36,7 +36,7 @@ from .tape import Ops
 
 __all__ = ["ClassBiasParams", "CodeResult", "UnitScaleResult",
            "arm_thresholds", "class_thresholds", "ssc_encode",
-           "ebssc_encode", "code_from_correlation", "unit_scale_to_lsq"]
+           "ebssc_encode", "unit_scale_to_lsq"]
 
 
 @dataclass(frozen=True)
@@ -73,15 +73,6 @@ class ClassBiasParams:
         if np.any(wp < 0) or np.any(wm < 0):
             raise ValueError("arm widths must be non-negative")
 
-    @property
-    def num_classes(self):
-        return np.asarray(self.w_hat_plus).shape[0]
-
-    @property
-    def tied(self):
-        """True when weights are per-channel scalars, not spatial maps."""
-        return np.asarray(self.w_hat_plus).ndim == 2
-
 
 def arm_thresholds(ops, w_plus, w_minus, offset):
     """(beta_plus, beta_minus) = (w_plus + offset, w_minus - offset),
@@ -97,24 +88,29 @@ def arm_thresholds(ops, w_plus, w_minus, offset):
     return ops.add(w_plus, offset), ops.sub(w_minus, offset)
 
 
-def class_thresholds(params, label):
-    """Thresholds selecting class ``label``:
+def class_thresholds(params):
+    """Every class's thresholds in one pair,
 
-    beta_plus = w_hat_plus[label] + offset,
-    beta_minus = w_hat_minus[label] - offset.
+    beta_plus[y] = w_hat_plus[y] + offset,
+    beta_minus[y] = w_hat_minus[y] - offset,
+
+    of shape (Y, K, 1, 1) for tied arms or (Y, K, H, W) for arm maps: the
+    class axis sits at -4, as in ``network.forward``.
     """
     return ThresholdPair(*arm_thresholds(
-        Ops(), np.asarray(params.w_hat_plus)[label],
-        np.asarray(params.w_hat_minus)[label], np.asarray(params.offset)))
+        Ops(), np.asarray(params.w_hat_plus),
+        np.asarray(params.w_hat_minus), np.asarray(params.offset)))
 
 
 @dataclass(frozen=True)
 class CodeResult:
-    """Output of a closed-form coding step."""
+    """Output of a closed-form coding step.  ``lambda_star`` holds one
+    float64 entry per leading index of the code, as ``Ops.normalize``
+    returns the norm: a float64 scalar for one (K, H, W) map."""
 
     code: np.ndarray
     pre_projection: np.ndarray
-    lambda_star: float
+    lambda_star: np.ndarray
 
     @property
     def optimal_energy(self):
@@ -122,33 +118,30 @@ class CodeResult:
         return 2.0 * self.lambda_star
 
 
-def code_from_correlation(v, thresholds):
-    """Solve the coding problem given the correlation tensor directly;
-    ``thresholds`` is a ThresholdPair, proper by construction."""
-    z_tilde = shrinkage.branch_code(v, thresholds.beta_plus,
-                                    thresholds.beta_minus)
-    code, norm = Ops().normalize(z_tilde)
-    return CodeResult(code=code, pre_projection=z_tilde,
-                      lambda_star=0.5 * float(norm))
-
-
 def ssc_encode(x, bank, thresholds, pad=0):
-    """Spherical sparse coding with label-independent thresholds.
+    """Spherical sparse coding of the (..., C, H, W) input ``x``.
 
-    ``thresholds`` may be a ThresholdPair or a scalar beta (symmetric
-    dead zone [-beta, beta]).
+    ``thresholds`` may be a ThresholdPair, proper by construction, that
+    broadcasts against the (..., K, Ho, Wo) correlation, or a scalar beta
+    (symmetric dead zone [-beta, beta]).
     """
     if not isinstance(thresholds, ThresholdPair):
         thresholds = ThresholdPair.symmetric(float(thresholds))
     v = tensor.cross_correlate(x, bank, pad)
-    return code_from_correlation(v, thresholds)
+    z_tilde = shrinkage.branch_code(v, thresholds.beta_plus,
+                                    thresholds.beta_minus)
+    code, norm = Ops().normalize(z_tilde)
+    return CodeResult(code=code, pre_projection=z_tilde,
+                      lambda_star=0.5 * norm)
 
 
-def ebssc_encode(x, bank, params, label, pad=0):
-    """Class-conditional coding: thresholds come from ``params`` at
-    ``label``; everything else matches ``ssc_encode``."""
-    v = tensor.cross_correlate(x, bank, pad)
-    return code_from_correlation(v, class_thresholds(params, label))
+def ebssc_encode(x, bank, params, *, pad=0):
+    """Class-conditional coding under every class hypothesis at once: a
+    one-block ``network.forward``.  The class axis enters at -4, so a
+    (C, H, W) map gives (Y, K, Ho, Wo) codes and a (B, C, H, W) batch
+    gives (B, Y, K, Ho, Wo); everything else matches ``ssc_encode``."""
+    return ssc_encode(np.expand_dims(x, -4), bank, class_thresholds(params),
+                      pad)
 
 
 @dataclass(frozen=True)

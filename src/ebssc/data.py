@@ -15,6 +15,7 @@ written through the same IDX files the loaders consume.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -153,16 +154,20 @@ ZCA_FLOOR = 0.1
 def whiten(images, stats):
     """Apply stored whitening statistics to (N, C, H, W) images."""
     shape = images.shape
-    flat = images.reshape(shape[0], -1).astype(np.float64)
+    flat = images.reshape(shape[0], math.prod(shape[1:])).astype(np.float64)
     white = (flat - stats.mean) @ stats.matrix
     return white.reshape(shape).astype(np.float32)
 
 
 def preprocess(dataset, stats=None):
     """Center and ZCA-whiten; training statistics are reused verbatim on
-    any later split passed with ``stats``.  Returns (dataset, stats)."""
+    any later split passed with ``stats``.  Returns (dataset, stats).
+    Estimating statistics from an empty split is a DataError."""
     if stats is None:
         n = len(dataset.images)
+        if n == 0:
+            raise DataError("cannot estimate whitening statistics from an "
+                            "empty split")
         flat = dataset.images.reshape(n, -1).astype(np.float64)
         mean = flat.mean(axis=0)
         centered = flat - mean

@@ -163,12 +163,18 @@ def _batches(n, batch_size, order):
         yield order[lo:lo + batch_size]
 
 
+def _split_size(labels, task):
+    """The number of examples in a split; an empty one is a DataError."""
+    n = len(labels)
+    if n == 0:
+        raise DataError(f"cannot {task} an empty split")
+    return n
+
+
 def evaluate(params, spec, images, labels, batch_size=200, unroll_T=0):
     """(error rate, mean data loss) over a labelled set, eval mode.
     Raises DataError when the set is empty."""
-    n = len(labels)
-    if n == 0:
-        raise DataError("cannot evaluate an empty split")
+    n = _split_size(labels, "evaluate")
     wrong = 0
     total_loss = 0.0
     ops = Ops()
@@ -190,8 +196,9 @@ def dataset_objective(params, spec, images, labels, cfg, batch_size=200):
 
     The example-weighted mean of per-batch losses reproduces the exact
     whole-set objective because the regularizer is constant per batch.
+    Raises DataError when the set is empty.
     """
-    n = len(labels)
+    n = _split_size(labels, "evaluate")
     total = 0.0
     for idx in _batches(n, batch_size, np.arange(n)):
         out, _ = loss(params, spec, images[idx], labels[idx], cfg,
@@ -207,17 +214,18 @@ def train(cfg, spec, train_images, train_labels, test_images=None,
     Metric lines `epoch,iter,split,loss,error_rate` are appended to the
     outcome and passed to ``log`` as produced.  Deterministic in
     ``cfg.seed``: data order, dropout masks, and augmentation all draw
-    from one seeded generator.  An empty training split is a DataError.
+    from one seeded generator.  An empty training split, or an empty test
+    split when one is given, is a DataError raised before any step.
     """
-    if len(train_labels) == 0:
-        raise DataError("cannot train on an empty split")
+    n = _split_size(train_labels, "train on")
+    if test_images is not None:
+        _split_size(test_labels, "evaluate")
     rng = np.random.default_rng(cfg.seed)
     if params is None:
         from .network import build
         params = build(spec, seed=cfg.seed)
     state = OptimizerState.init_like(params)
     outcome = TrainOutcome(params=params, state=state, rng=rng)
-    n = len(train_labels)
     it = 0
 
     def emit(line):

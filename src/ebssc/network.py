@@ -153,10 +153,12 @@ class NetworkSpec:
                         f"to be ebssc; block {i} is {b.kind}")
             if not any(b.kind == "ebssc" for b in self.blocks[idx:]):
                 raise ValueError("energy classifier covers no ebssc block")
-        else:
-            if any(b.kind == "ebssc" for b in self.blocks):
+        covered = idx if head == "energy" else len(self.blocks)
+        for i, b in enumerate(self.blocks[:covered]):
+            if b.kind == "ebssc":
                 raise ValueError(
-                    "ebssc blocks require the energy classifier")
+                    "ebssc blocks must lie in the energy classifier's "
+                    f"range; block {i} is ebssc, classifier is {head}:{idx}")
         block_shapes(self)  # validates channel chaining
 
 

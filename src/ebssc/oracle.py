@@ -308,13 +308,14 @@ def run_check_suite(seed=0):
         w_hat_minus=rng.uniform(0, 0.2, (2, 3)),
         offset=rng.uniform(-0.1, 0.1, 3))
     y = 1
-    enc = coder.ebssc_encode(x, bank, params, y, pad=1)
+    enc = coder.ebssc_encode(x, bank, params, pad=1)
+    code, z_tilde, lam = enc.code[y], enc.pre_projection[y], enc.lambda_star[y]
     beta = 0.5
     wp = beta - (np.asarray(params.w_hat_plus)[y] + params.offset)
     wm = (np.asarray(params.w_hat_minus)[y] - params.offset) - beta
-    lhs = energy.e_code(x, enc.code, bank, beta, pad=1) \
-        + energy.e_class(enc.code, wp, wm)
-    rhs = energy.e_reparam(x, enc.code, bank,
+    lhs = energy.e_code(x, code, bank, beta, pad=1) \
+        + energy.e_class(code, wp, wm)
+    rhs = energy.e_reparam(x, code, bank,
                            np.asarray(params.w_hat_plus)[y],
                            np.asarray(params.w_hat_minus)[y],
                            params.offset, pad=1)
@@ -322,12 +323,11 @@ def run_check_suite(seed=0):
            f"gap={abs(lhs - rhs):.3e}")
 
     # Unit-sphere code properties.
-    n = tensor.l2_norm(enc.code)
+    n = tensor.l2_norm(code)
     ok_norm = abs(n - 1.0) <= 1e-8 or n == 0.0
-    ok_lam = abs(enc.lambda_star - 0.5 * tensor.l2_norm(enc.pre_projection)) \
-        <= 1e-12
+    ok_lam = abs(lam - 0.5 * tensor.l2_norm(z_tilde)) <= 1e-12
     record("sphere_identities", ok_norm and ok_lam,
-           f"norm={n:.8f} lambda={enc.lambda_star:.6f}")
+           f"norm={n:.8f} lambda={lam:.6f}")
 
     # Sphere-constrained solve matches the least-squares solver.
     xs = rng.standard_normal((1, 5, 5))

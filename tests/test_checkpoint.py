@@ -212,16 +212,18 @@ class TestCheckpoint:
         ("maxpool kernel=2", "maxpool kernel=0"),
         ("maxpool kernel=2 pad=0", "maxpool kernel=2 pad=2"),
         ("num_classes = 2", "num_classes = 0"),
-        ("input = 1x6x6", "input = 0x6x6")],
+        ("input = 1x6x6", "input = 0x6x6"),
+        ("= ssc kernel=3x1x3x3", "= ebssc kernel=3x1x3x3")],
         ids=["empty_block", "zero_kernel", "negative_conv_pad",
              "zero_pool_window", "pool_pad_beyond_window", "zero_classes",
-             "zero_input"])
+             "zero_input", "ebssc_below_energy_head"])
     def test_unusable_network_text_is_refused(self, tmp_path, old, new):
         """Network text that parses but describes no runnable network
         (an empty block line, a kernel dimension or class count below 1,
         negative conv padding, pool padding outside [0, window), an empty
-        input) is a CheckpointError at load, not a numpy failure at the
-        first forward pass."""
+        input, an ebssc block below the energy head's index) is a
+        CheckpointError at load, not a numpy failure at the first forward
+        pass or a score that counts blocks the head leaves out."""
         spec = NetworkSpec(
             blocks=(BlockSpec("ssc", (3, 1, 3, 3), pad=1, beta=0.1),
                     BlockSpec("maxpool", (2,), stride=2),

@@ -10,6 +10,8 @@ from ebssc import cli, data, network
 from ebssc.checkpoint import Checkpoint, load_checkpoint, \
     read_tensor_file, save_checkpoint, write_tensor_file
 from ebssc.cli import main
+from ebssc.config import variant_spec
+from ebssc.data import Whitening
 from ebssc.imaging import load_ppm
 from ebssc.network import BlockSpec, NetworkSpec, build
 
@@ -83,6 +85,22 @@ class TestTrain:
         assert rc == 1
         assert "batch_size" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n_train, n_test", [(0, 10), (10, 0)],
+                             ids=["empty_train", "empty_test"])
+    def test_whitened_empty_split_exits_two(self, tmp_path, capsys,
+                                            n_train, n_test):
+        """With whitening on, an empty split is refused as a data error
+        (statistics from no images, or an empty test split), not a numpy
+        reshape traceback."""
+        d = data.write_digits_idx(str(tmp_path / "d"), n_train=n_train,
+                                  n_test=n_test, seed=7)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG + "whiten = true\n")
+        rc = main(["train", "--config", str(cfg), "--data", d,
+                   "--out", str(tmp_path / "model")])
+        assert rc == 2
+        assert "empty split" in capsys.readouterr().err
+
 
 class TestEval:
     """The eval subcommand."""
@@ -129,6 +147,20 @@ class TestEval:
         assert rc == 2
         assert "empty" in capsys.readouterr().err
 
+    def test_whitened_empty_test_split_exits_two(self, tmp_path, capsys):
+        """A checkpoint's whitening applied to an empty test split gives
+        an empty split, refused as a data error."""
+        spec = variant_spec("digits_ssc_ebc2")
+        ckpt = tmp_path / "white.ckpt"
+        save_checkpoint(str(ckpt), Checkpoint(
+            spec=spec, params=build(spec, seed=0),
+            whitening=Whitening(mean=np.zeros(784), matrix=np.eye(784))))
+        empty = data.write_digits_idx(str(tmp_path / "empty"), n_train=10,
+                                      n_test=0, seed=7)
+        rc = main(["eval", "--ckpt", str(ckpt), "--data", empty])
+        assert rc == 2
+        assert "empty split" in capsys.readouterr().err
+
     def test_checkpoint_missing_a_parameter_exits_two(
             self, trained, tmp_path, digits_dir, capsys):
         """A checkpoint that lacks a parameter its network needs is a data
@@ -170,18 +202,6 @@ class TestEncode:
             tensors["energy.e_code"] + tensors["energy.e_class"],
             atol=1e-4)
 
-    def test_single_class_filter(self, trained, digits_dir, tmp_path):
-        """--class 4 keeps only that hypothesis's code."""
-        out = tmp_path / "one.codes"
-        rc = main(["encode", "--ckpt", str(trained),
-                   "--image",
-                   str(digits_dir / "t10k-images-idx3-ubyte"),
-                   "--class", "4", "--out", str(out)])
-        assert rc == 0
-        _, tensors = read_tensor_file(str(out))
-        assert "code.block2.class4" in tensors
-        assert "code.block2.class5" not in tensors
-
     def test_runs_one_forward_pass(self, trained, digits_dir, tmp_path,
                                    monkeypatch):
         """encode scores the image once, and the energies it writes are
@@ -220,14 +240,6 @@ class TestEncode:
                    "--out", str(tmp_path / "x")])
         assert rc == 2
         assert "offset 3" in capsys.readouterr().err
-
-    def test_bad_class_is_usage_error(self, trained, digits_dir, tmp_path):
-        """An out-of-range class id exits 1."""
-        rc = main(["encode", "--ckpt", str(trained),
-                   "--image",
-                   str(digits_dir / "t10k-images-idx3-ubyte"),
-                   "--class", "11", "--out", str(tmp_path / "x")])
-        assert rc == 1
 
 
 class TestDecode:

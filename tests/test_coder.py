@@ -91,68 +91,78 @@ class TestClassBiasParams:
             ClassBiasParams(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros(4))
 
     def test_tied_and_map_ranks(self):
-        """(Y, K) arms are tied; (Y, K, H, W) arms are spatial maps."""
+        """(Y, K) arms are tied, per-channel (Y, K, 1, 1) thresholds;
+        (Y, K, H, W) arms are spatial maps, kept whole."""
         tied = ClassBiasParams(np.zeros((2, 3)), np.zeros((2, 3)),
                                np.zeros(3))
         maps = ClassBiasParams(np.zeros((2, 3, 4, 4)),
                                np.zeros((2, 3, 4, 4)), np.zeros(3))
-        assert tied.tied and not maps.tied
-        assert tied.num_classes == maps.num_classes == 2
+        for params, shape in ((tied, (2, 3, 1, 1)), (maps, (2, 3, 4, 4))):
+            pair = class_thresholds(params)
+            assert pair.beta_plus.shape == pair.beta_minus.shape == shape
 
     def test_class_thresholds_formula(self):
-        """beta+ = w+[y] + b and beta- = w-[y] - b, channelwise."""
+        """beta+[y] = w+[y] + b and beta-[y] = w-[y] - b, channelwise, for
+        every class y at once."""
         rng = np.random.default_rng(42)
         params = ClassBiasParams(rng.uniform(0, 0.3, (4, 3)),
                                  rng.uniform(0, 0.3, (4, 3)),
                                  rng.uniform(-0.1, 0.1, 3))
-        pair = class_thresholds(params, 2)
+        pair = class_thresholds(params)
         np.testing.assert_allclose(
-            pair.beta_plus[:, 0, 0],
-            np.asarray(params.w_hat_plus)[2] + params.offset)
+            pair.beta_plus[..., 0, 0],
+            np.asarray(params.w_hat_plus) + params.offset)
         np.testing.assert_allclose(
-            pair.beta_minus[:, 0, 0],
-            np.asarray(params.w_hat_minus)[2] - params.offset)
+            pair.beta_minus[..., 0, 0],
+            np.asarray(params.w_hat_minus) - params.offset)
 
     def test_spatial_maps_keep_their_grid(self):
-        """Map-shaped arms produce full (K, H, W) thresholds."""
+        """Map-shaped arms produce full (Y, K, H, W) thresholds."""
         rng = np.random.default_rng(42)
         params = ClassBiasParams(rng.uniform(0, 0.3, (2, 3, 5, 5)),
                                  rng.uniform(0, 0.3, (2, 3, 5, 5)),
                                  rng.uniform(-0.1, 0.1, 3))
-        pair = class_thresholds(params, 1)
-        assert pair.beta_plus.shape == (3, 5, 5)
+        pair = class_thresholds(params)
+        assert pair.beta_plus.shape == (2, 3, 5, 5)
         np.testing.assert_allclose(
             pair.beta_plus,
-            np.asarray(params.w_hat_plus)[1]
+            np.asarray(params.w_hat_plus)
             + np.asarray(params.offset)[:, None, None])
 
     def test_nonneg_arms_always_yield_proper_pairs(self):
         """Any offset keeps -beta_minus <= beta_plus when arms are >= 0:
-        every class's ThresholdPair constructs, which raises
+        the ThresholdPair over every class constructs, which raises
         ImproperThresholdError on an improper pair."""
         rng = np.random.default_rng(42)
         for _ in range(100):
             params = ClassBiasParams(rng.uniform(0, 1, (3, 4)),
                                      rng.uniform(0, 1, (3, 4)),
                                      rng.uniform(-5, 5, 4))
-            for y in range(3):
-                class_thresholds(params, y)
+            class_thresholds(params)
 
 
 class TestEbsscEncode:
     """Class-conditional coding against its manual composition."""
 
     def test_matches_manual_thresholds(self):
-        """ebssc_encode == ssc_encode with that label's pair."""
+        """Class y's slice of ebssc_encode is bitwise ssc_encode with class
+        y's pair: code, shrunk code and multiplier."""
         rng = np.random.default_rng(42)
         x, bank = _random_instance(rng)
         params = ClassBiasParams(rng.uniform(0, 0.3, (4, 3)),
                                  rng.uniform(0, 0.3, (4, 3)),
                                  rng.uniform(-0.1, 0.1, 3))
+        direct = ebssc_encode(x, bank, params)
+        assert direct.code.shape == (4, 3, 5, 5)
+        assert direct.lambda_star.shape == (4,)
+        pair = class_thresholds(params)
         for y in range(4):
-            direct = ebssc_encode(x, bank, params, y)
-            manual = ssc_encode(x, bank, class_thresholds(params, y))
-            np.testing.assert_array_equal(direct.code, manual.code)
+            manual = ssc_encode(x, bank, ThresholdPair(pair.beta_plus[y],
+                                                       pair.beta_minus[y]))
+            np.testing.assert_array_equal(direct.code[y], manual.code)
+            np.testing.assert_array_equal(direct.pre_projection[y],
+                                          manual.pre_projection)
+            assert direct.lambda_star[y] == manual.lambda_star
 
     def test_label_changes_the_code(self):
         """Distinct class hypotheses give distinct codes generically."""
@@ -161,30 +171,39 @@ class TestEbsscEncode:
         params = ClassBiasParams(rng.uniform(0, 0.4, (2, 3)),
                                  rng.uniform(0, 0.4, (2, 3)),
                                  rng.uniform(-0.1, 0.1, 3))
-        a = ebssc_encode(x, bank, params, 0).code
-        b = ebssc_encode(x, bank, params, 1).code
-        assert not np.array_equal(a, b)
+        code = ebssc_encode(x, bank, params).code
+        assert not np.array_equal(code[0], code[1])
+
+    def test_label_is_not_a_parameter(self):
+        """Padding is keyword-only, so a call that still passes a label
+        raises instead of coding with the label as the padding."""
+        rng = np.random.default_rng(42)
+        x, bank = _random_instance(rng)
+        params = ClassBiasParams(np.zeros((2, 3)), np.zeros((2, 3)),
+                                 np.zeros(3))
+        with pytest.raises(TypeError):
+            ebssc_encode(x, bank, params, 0)
 
 
 class TestForwardAgreement:
     """A one-block network codes exactly as the single-map encoders do:
-    bitwise, in float64, over random instances and thresholds."""
+    bitwise, over random instances and thresholds."""
 
     @staticmethod
-    def _one_block(rng, kind, bias_maps=False):
+    def _one_block(rng, kind, bias_maps=False, dtype=np.float64, batch=1):
         c, hw, k, ksz, pad = 2, 9, 4, 3, 1
         block = BlockSpec(kind, (k, c, ksz, ksz), pad=pad,
                           bias_maps=bias_maps)
         head = ("energy", 0) if kind == "ebssc" else ("linear", 0)
         spec = NetworkSpec(blocks=(block,), classifier=head, num_classes=3,
                            input_shape=(c, hw, hw))
-        params = build(spec, seed=int(rng.integers(1 << 30)),
-                       dtype=np.float64)
+        params = build(spec, seed=int(rng.integers(1 << 30)), dtype=dtype)
         arms = params["block0.w_plus"].shape
-        params["block0.w_plus"] = rng.uniform(0, 0.5, arms)
-        params["block0.w_minus"] = rng.uniform(0, 0.5, arms)
-        params["block0.offset"] = rng.uniform(-0.2, 0.2, k)
-        return spec, params, rng.standard_normal((1, c, hw, hw)), pad
+        params["block0.w_plus"] = rng.uniform(0, 0.5, arms).astype(dtype)
+        params["block0.w_minus"] = rng.uniform(0, 0.5, arms).astype(dtype)
+        params["block0.offset"] = rng.uniform(-0.2, 0.2, k).astype(dtype)
+        x = rng.standard_normal((batch, c, hw, hw)).astype(dtype)
+        return spec, params, x, pad
 
     def test_ssc_encode_is_the_forward_code(self):
         """ssc_encode's code equals the ssc block's code in forward."""
@@ -201,21 +220,30 @@ class TestForwardAgreement:
     @pytest.mark.parametrize("bias_maps", [False, True],
                              ids=["tied", "maps"])
     def test_ebssc_encode_is_each_forward_hypothesis(self, bias_maps):
-        """ebssc_encode at label y equals hypothesis y of forward, and
-        its optimal energy is forward's score for y."""
+        """ebssc_encode codes every hypothesis as forward does, in float32
+        and float64: a (C, H, W) map gives forward's (Y, K, H, W) codes
+        and (Y,) scores for that image, and a batch gives forward's
+        (B, Y, K, H, W) codes and (B, Y) scores as whole arrays."""
         rng = np.random.default_rng(11)
-        for _ in range(20):
-            spec, params, x, pad = self._one_block(rng, "ebssc", bias_maps)
-            cb = ClassBiasParams(params["block0.w_plus"],
-                                 params["block0.w_minus"],
-                                 params["block0.offset"])
-            fwd = forward(params, spec, x)
-            for y in range(spec.num_classes):
-                res = ebssc_encode(x[0], params["block0.bank"], cb, y,
-                                   pad=pad)
-                np.testing.assert_array_equal(
-                    res.code, fwd.hypothesis(y, 0, fwd.codes[0])[0])
-                assert res.optimal_energy == fwd.scores[0, y]
+        for dtype in (np.float32, np.float64):
+            for trial in range(20):
+                batch = 1 + trial % 3
+                spec, params, x, pad = self._one_block(
+                    rng, "ebssc", bias_maps, dtype, batch)
+                cb = ClassBiasParams(params["block0.w_plus"],
+                                     params["block0.w_minus"],
+                                     params["block0.offset"])
+                fwd = forward(params, spec, x)
+                bank = params["block0.bank"]
+                one = ebssc_encode(x[0], bank, cb, pad=pad)
+                np.testing.assert_array_equal(one.code, fwd.codes[0][0])
+                np.testing.assert_array_equal(one.optimal_energy,
+                                              fwd.scores[0])
+                many = ebssc_encode(x, bank, cb, pad=pad)
+                assert many.code.dtype == dtype
+                np.testing.assert_array_equal(many.code, fwd.codes[0])
+                np.testing.assert_array_equal(many.optimal_energy,
+                                              fwd.scores)
 
 
 class TestUnitScaleToLsq:

@@ -80,12 +80,12 @@ class TestReparameterization:
                                      rng.uniform(0, 0.2, (2, 3)),
                                      rng.uniform(-0.1, 0.1, 3))
             y = int(rng.integers(2))
-            enc = ebssc_encode(x, bank, params, y, pad=1)
+            code = ebssc_encode(x, bank, params, pad=1).code[y]
             wp = beta - (np.asarray(params.w_hat_plus)[y] + params.offset)
             wm = (np.asarray(params.w_hat_minus)[y] - params.offset) - beta
-            lhs = e_code(x, enc.code, bank, beta, pad=1) \
-                + e_class(enc.code, wp, wm)
-            rhs = e_reparam(x, enc.code, bank,
+            lhs = e_code(x, code, bank, beta, pad=1) \
+                + e_class(code, wp, wm)
+            rhs = e_reparam(x, code, bank,
                             np.asarray(params.w_hat_plus)[y],
                             np.asarray(params.w_hat_minus)[y],
                             params.offset, pad=1)

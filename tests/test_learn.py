@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from ebssc import DataError
+from ebssc import DataError, learn
 from ebssc.config import variant_spec
 from ebssc.data import digits_arrays
 from ebssc.learn import OptimizerState, TrainConfig, adam_step, backward, \
@@ -352,6 +352,20 @@ class TestTrainLoop:
         with pytest.raises(DataError, match="empty"):
             train(TrainConfig(epochs=1, seed=0), spec, xtr[:0], ytr[:0])
 
+    def test_empty_test_split_is_refused_before_training(
+            self, digits_small, monkeypatch):
+        """A given test split with no images is a DataError before the
+        first step, not after a whole epoch of training is thrown away."""
+        xtr, ytr, xte, yte = digits_small
+        spec = variant_spec("digits_ssc_ebc2")
+        steps = []
+        monkeypatch.setattr(learn, "backward",
+                            lambda *a, **k: steps.append(1))
+        with pytest.raises(DataError, match="empty"):
+            train(TrainConfig(epochs=1, seed=0), spec, xtr[:20], ytr[:20],
+                  xte[:0], yte[:0])
+        assert steps == []
+
 
 class TestEvaluate:
     """Error-rate accounting and the whole-set objective."""
@@ -372,6 +386,15 @@ class TestEvaluate:
         spec = variant_spec("digits_ssc_ebc2")
         with pytest.raises(DataError, match="empty"):
             evaluate(build(spec, seed=0), spec, xte[:0], yte[:0])
+
+    def test_empty_split_objective_is_a_data_error(self, digits_small):
+        """The whole-set objective of no images is a DataError, as in
+        evaluate, not a ZeroDivisionError."""
+        _, _, xte, yte = digits_small
+        spec = variant_spec("digits_ssc_ebc2")
+        with pytest.raises(DataError, match="empty"):
+            dataset_objective(build(spec, seed=0), spec, xte[:0], yte[:0],
+                              TrainConfig())
 
     def test_dataset_objective_matches_single_batch(self, digits_small):
         """Batch-weighted averaging reproduces the whole-set loss."""

@@ -4,8 +4,9 @@ unrolled refinement, and deconvolutional decoding."""
 import numpy as np
 import pytest
 
-from ebssc import DataError, ImproperThresholdError, ShapeError, tensor
-from ebssc.config import variant_spec
+from ebssc import ConfigError, DataError, ImproperThresholdError, \
+    ShapeError, tensor
+from ebssc.config import parse_network, variant_spec
 from ebssc.learn import evaluate
 from ebssc.network import BlockSpec, NetworkSpec, block_shapes, build, \
     class_energy_breakdown, decode, decode_class_bias, decode_residual, \
@@ -117,6 +118,23 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             NetworkSpec(blocks=blocks, classifier=("energy", 0),
                         num_classes=2, input_shape=(1, 8, 8))
+
+    def test_energy_head_covers_every_class_biased_block(self):
+        """An ebssc block below the energy head's index would add its
+        energy to a score that covers only the blocks from the index on:
+        the spec is refused, and so is its network text."""
+        blocks = (BlockSpec("ebssc", (2, 1, 3, 3), pad=1, beta=0.1),
+                  BlockSpec("ssc", (2, 4, 3, 3), pad=1, beta=0.1),
+                  BlockSpec("ebssc", (2, 4, 3, 3), pad=1, beta=0.1))
+        with pytest.raises(ValueError, match="block 0 is ebssc"):
+            NetworkSpec(blocks=blocks, classifier=("energy", 2),
+                        num_classes=2, input_shape=(1, 8, 8))
+        text = ("num_classes = 2\ninput = 1x8x8\nclassifier = energy:2\n"
+                "block0 = ebssc kernel=2x1x3x3 pad=1\n"
+                "block1 = ssc kernel=2x4x3x3 pad=1\n"
+                "block2 = ebssc kernel=2x4x3x3 pad=1\n")
+        with pytest.raises(ConfigError, match="block 0 is ebssc"):
+            parse_network(text)
 
     def test_classifier_index_range(self):
         """The classifier must point at an existing block."""
