@@ -14,9 +14,13 @@ Loading is total: any malformed byte stream raises CheckpointError with
 the offending byte offset; the checksum is verified before any parsing
 so corruption is reported as such rather than as a spurious format
 error.  Parameters must fit the embedded network: the names and shapes
-``network.build`` gives it, each a finite floating array; optimizer
+of ``network.param_shapes``, each a finite floating array; optimizer
 moments must be finite floating arrays of their parameters' shapes.  A
 tensor name that is none of a checkpoint's is refused too.
+
+Files are written tensor by tensor and read through a view of the file's
+bytes, so neither direction holds a second copy of the whole file; every
+loaded array owns its data.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .config import parse_network, serialize_network
 from .data import Whitening
 from .errors import CheckpointError, ConfigError
 from .learn import OptimizerState
-from .network import build
+from .network import param_shapes
 
 __all__ = ["Checkpoint", "save_checkpoint", "load_checkpoint",
            "write_tensor_file", "read_tensor_file"]
@@ -59,6 +63,9 @@ class Checkpoint:
 
 
 def _pack_tensors(tensors):
+    """The tensor table as a list of byte chunks: headers as bytes, data
+    as little-endian byte views of the arrays themselves.  Every dtype is
+    checked before anything is written."""
     out = [struct.pack("<I", len(tensors))]
     for name in sorted(tensors):
         arr = np.asarray(tensors[name], order="C")
@@ -66,17 +73,19 @@ def _pack_tensors(tensors):
             raise CheckpointError(
                 f"tensor {name!r} has unsupported dtype {arr.dtype}")
         nb = name.encode("utf-8")
-        out.append(struct.pack("<I", len(nb)))
-        out.append(nb)
-        out.append(struct.pack("<BB", _TAG_OF_DTYPE[arr.dtype], arr.ndim))
-        out.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
+        out.append(struct.pack("<I", len(nb)) + nb
+                   + struct.pack("<BB", _TAG_OF_DTYPE[arr.dtype], arr.ndim)
+                   + struct.pack(f"<{arr.ndim}Q", *arr.shape))
         if arr.dtype.itemsize > 1:
             arr = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
-        out.append(arr.tobytes())
-    return b"".join(out)
+        out.append(arr.reshape(-1).view(np.uint8))
+    return out
 
 
 class _Cursor:
+    """Reads ``buf`` (a memoryview) front to back; ``take`` returns views,
+    not copies."""
+
     def __init__(self, buf):
         self.buf = buf
         self.pos = 0
@@ -99,7 +108,7 @@ def _unpack_tensors(cur):
     for _ in range(count):
         nlen = cur.u32("tensor name length")
         try:
-            name = cur.take(nlen, "tensor name").decode("utf-8")
+            name = str(cur.take(nlen, "tensor name"), "utf-8")
         except UnicodeDecodeError:
             raise CheckpointError(
                 f"tensor name is not UTF-8 at byte offset {cur.pos - nlen}") \
@@ -116,19 +125,21 @@ def _unpack_tensors(cur):
             n *= int(d)  # python ints: crafted dims cannot wrap silently
         raw = cur.take(n * dtype.itemsize, f"{name} data")
         arr = np.frombuffer(raw, dtype=dtype.newbyteorder("<"))
-        tensors[name] = arr.astype(dtype).reshape(dims)
+        tensors[name] = arr.reshape(dims).astype(dtype)  # owns its data
     return tensors
 
 
 def write_tensor_file(path, tensors, text=""):
     """Write the container with an arbitrary tensor table."""
     tb = text.encode("utf-8")
-    payload = b"".join([MAGIC, struct.pack("<I", VERSION),
-                        struct.pack("<I", len(tb)), tb,
-                        _pack_tensors(tensors)])
+    chunks = [MAGIC + struct.pack("<II", VERSION, len(tb)) + tb]
+    chunks += _pack_tensors(tensors)
+    crc = 0
     with open(path, "wb") as fh:
-        fh.write(payload)
-        fh.write(struct.pack("<I", zlib.crc32(payload)))
+        for chunk in chunks:
+            fh.write(chunk)
+            crc = zlib.crc32(chunk, crc)
+        fh.write(struct.pack("<I", crc))
 
 
 def read_tensor_file(path):
@@ -137,7 +148,8 @@ def read_tensor_file(path):
         blob = fh.read()
     if len(blob) < 4:
         raise CheckpointError("file shorter than its checksum")
-    payload, crc = blob[:-4], struct.unpack("<I", blob[-4:])[0]
+    payload = memoryview(blob)[:-4]
+    crc = struct.unpack_from("<I", blob, len(payload))[0]
     if zlib.crc32(payload) != crc:
         raise CheckpointError("checksum mismatch: file is corrupted")
     cur = _Cursor(payload)
@@ -149,7 +161,7 @@ def read_tensor_file(path):
             f"unsupported version {version} (reader supports {VERSION})")
     tlen = cur.u32("text length")
     try:
-        text = cur.take(tlen, "network text").decode("utf-8")
+        text = str(cur.take(tlen, "network text"), "utf-8")
     except UnicodeDecodeError:
         raise CheckpointError(
             f"network text is not UTF-8 at byte offset {cur.pos - tlen}") \
@@ -199,13 +211,13 @@ def _check_array(what, arr, shape):
 
 def _check_params(spec, params):
     """Refuse parameters that are not finite floating arrays with the
-    names and shapes that ``build`` gives ``spec``."""
-    want = build(spec, seed=0)
+    names and shapes of ``param_shapes(spec)``."""
+    want = param_shapes(spec)
     if set(params) != set(want):
         raise CheckpointError(f"parameters missing or unknown to the "
                               f"network: {sorted(set(params) ^ set(want))}")
     for name, arr in sorted(params.items()):
-        _check_array(f"parameter {name}", arr, want[name].shape)
+        _check_array(f"parameter {name}", arr, want[name])
 
 
 def save_checkpoint(path, ckpt):

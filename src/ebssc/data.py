@@ -88,7 +88,9 @@ def load_idx(path):
             n, h, w = struct.unpack(">III", _read_exact(fh, 12, 4, path))
             raw = _read_exact(fh, n * h * w, 16, path)
             img = np.frombuffer(raw, dtype=np.uint8).reshape(n, h, w)
-            return img.astype(np.float32) / 255.0
+            img = img.astype(np.float32)
+            img /= 255.0
+            return img
         raise DataError(f"{path}: unknown IDX magic 0x{magic:08x} at "
                         "byte offset 0")
 
@@ -127,8 +129,9 @@ def load_cifar10_bin(paths):
                 f"{path}: label {int(lab[bad])} > 9 at byte offset "
                 f"{bad * CIFAR_RECORD}")
         labels.append(lab.astype(np.int64))
-        images.append(recs[:, 1:].reshape(-1, 3, 32, 32)
-                      .astype(np.float32) / 255.0)
+        img = recs[:, 1:].reshape(-1, 3, 32, 32).astype(np.float32)
+        img /= 255.0
+        images.append(img)
     return Dataset(images=np.concatenate(images),
                    labels=np.concatenate(labels),
                    class_names=CIFAR10_NAMES)
@@ -233,11 +236,18 @@ def _stroke_points(label):
     return np.concatenate(pts)
 
 
+_STROKES = tuple(_stroke_points(label) for label in range(10))
+
+
 def _render(points, side):
+    """Pen intensity at each pixel centre from its nearest stroke point.
+    The squared distances are formed per column and per row, then added
+    by broadcasting: the same operations, in the same order, as over a
+    full meshgrid, so every pixel is bitwise the same."""
     grid = (np.arange(side) + 0.5) / side
-    gx, gy = np.meshgrid(grid, grid, indexing="xy")
-    d2 = ((gx[None] - points[:, 0, None, None]) ** 2
-          + (gy[None] - points[:, 1, None, None]) ** 2)
+    dx2 = (grid - points[:, 0, None]) ** 2
+    dy2 = (grid - points[:, 1, None]) ** 2
+    d2 = dx2[:, None, :] + dy2[:, :, None]
     return np.exp(-d2.min(axis=0) / (2.0 * _PEN_SIGMA ** 2))
 
 
@@ -256,8 +266,13 @@ def digits_arrays(n_train=1000, n_test=10000, seed=1234):
     """Deterministic synthetic digit corpus with balanced classes.
 
     Returns (train_images u8 (N,28,28), train_labels, test_images,
-    test_labels).  Counts must be multiples of 10 so the splits stay
-    exactly balanced."""
+    test_labels).  Counts must be non-negative multiples of 10 so the
+    splits stay exactly balanced.  A seed's corpus is byte-stable: every
+    image takes its jitter, gain and noise draws in that order, and each
+    split ends with one permutation draw."""
+    if n_train < 0 or n_test < 0:
+        raise ValueError(f"digit split sizes must be non-negative, got "
+                         f"{n_train} and {n_test}")
     if n_train % 10 or n_test % 10:
         raise ValueError("digit splits must be multiples of 10")
     rng = np.random.default_rng(seed)
@@ -266,7 +281,7 @@ def digits_arrays(n_train=1000, n_test=10000, seed=1234):
         labels = np.tile(np.arange(10), count // 10)
         images = np.empty((count, 28, 28), dtype=np.uint8)
         for i, lab in enumerate(labels):
-            pts = _jitter(_stroke_points(int(lab)), rng)
+            pts = _jitter(_STROKES[lab], rng)
             img = _render(pts, 28) * rng.uniform(0.82, 1.0)
             img = img + rng.normal(0.0, 0.04, img.shape)
             images[i] = (np.clip(img, 0.0, 1.0) * 255).astype(np.uint8)

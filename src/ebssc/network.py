@@ -49,6 +49,7 @@ unrolling refuses coding segments that use dropout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,9 +62,10 @@ from .shrinkage import ThresholdPair
 from .tape import Ops
 
 __all__ = ["BlockSpec", "NetworkSpec", "ForwardResult", "UnrollResult",
-           "build", "block_shapes", "forward", "coding_segment",
-           "unrolled_infer", "decode", "decode_class_bias", "decode_residual",
-           "class_energy_breakdown", "PARAM_INIT_ARM", "PARAM_INIT_OFFSET"]
+           "build", "block_shapes", "param_shapes", "forward",
+           "coding_segment", "unrolled_infer", "decode", "decode_class_bias",
+           "decode_residual", "class_energy_breakdown", "PARAM_INIT_ARM",
+           "PARAM_INIT_OFFSET"]
 
 CONV_KINDS = ("relu", "crelu", "crelu_sn", "ssc", "ebssc")
 POOL_KINDS = ("maxpool",)
@@ -186,6 +188,38 @@ def block_shapes(spec):
     return shapes
 
 
+def _param_layout(spec):
+    """(name, shape, fill) of every parameter, in ``build``'s order; a
+    ``None`` fill is a draw from N(0, 2/fan_in)."""
+    shapes = block_shapes(spec)
+    y = spec.num_classes
+    for i, b in enumerate(spec.blocks):
+        if b.kind not in CONV_KINDS:
+            continue
+        k = b.kernel[0]
+        yield f"block{i}.bank", tuple(b.kernel), None
+        if b.kind in ("relu", "crelu", "crelu_sn"):
+            yield f"block{i}.bias", (k,), 0.0
+        elif b.kind == "ssc":
+            yield f"block{i}.w_plus", (k,), b.beta
+            yield f"block{i}.w_minus", (k,), b.beta
+            yield f"block{i}.offset", (k,), 0.0
+        else:
+            arms = (y, k) + (shapes[i][1:] if b.bias_maps else ())
+            yield f"block{i}.w_plus", arms, PARAM_INIT_ARM
+            yield f"block{i}.w_minus", arms, PARAM_INIT_ARM
+            yield f"block{i}.offset", (k,), PARAM_INIT_OFFSET
+    head, idx = spec.classifier
+    if head == "linear":
+        yield "classifier.w", (y, math.prod(shapes[idx])), None
+
+
+def param_shapes(spec):
+    """Name -> shape of every parameter ``build`` gives ``spec``, from
+    the geometry alone: nothing is drawn."""
+    return {name: shape for name, shape, _ in _param_layout(spec)}
+
+
 def build(spec, seed, dtype=np.float32):
     """Initialize parameters: banks ~ N(0, 2/fan_in); ssc thresholds
     from the block's beta (arm widths = beta, offset 0); ebssc class arms
@@ -193,37 +227,13 @@ def build(spec, seed, dtype=np.float32):
     ``seed``."""
     rng = np.random.default_rng(seed)
     params = {}
-    shapes = block_shapes(spec)
-    y = spec.num_classes
-    for i, b in enumerate(spec.blocks):
-        if b.kind not in CONV_KINDS:
-            continue
-        k, cin, kh, kw = b.kernel
-        fan_in = cin * kh * kw
-        params[f"block{i}.bank"] = (
-            rng.standard_normal((k, cin, kh, kw))
-            * np.sqrt(2.0 / fan_in)).astype(dtype)
-        if b.kind in ("relu", "crelu", "crelu_sn"):
-            params[f"block{i}.bias"] = np.zeros(k, dtype=dtype)
-        elif b.kind == "ssc":
-            params[f"block{i}.w_plus"] = np.full(k, b.beta, dtype=dtype)
-            params[f"block{i}.w_minus"] = np.full(k, b.beta, dtype=dtype)
-            params[f"block{i}.offset"] = np.zeros(k, dtype=dtype)
+    for name, shape, fill in _param_layout(spec):
+        if fill is None:
+            fan_in = math.prod(shape[1:])
+            params[name] = (rng.standard_normal(shape)
+                            * np.sqrt(2.0 / fan_in)).astype(dtype)
         else:
-            shape = (y, k) + (shapes[i][1:] if b.bias_maps else ())
-            params[f"block{i}.w_plus"] = np.full(shape, PARAM_INIT_ARM,
-                                                 dtype=dtype)
-            params[f"block{i}.w_minus"] = np.full(shape, PARAM_INIT_ARM,
-                                                  dtype=dtype)
-            params[f"block{i}.offset"] = np.full(k, PARAM_INIT_OFFSET,
-                                                 dtype=dtype)
-    head, idx = spec.classifier
-    if head == "linear":
-        c, h, w = shapes[idx]
-        feat = c * h * w
-        params["classifier.w"] = (
-            rng.standard_normal((spec.num_classes, feat))
-            * np.sqrt(2.0 / feat)).astype(dtype)
+            params[name] = np.full(shape, fill, dtype=dtype)
     return params
 
 

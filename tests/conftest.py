@@ -1,7 +1,8 @@
 """Shared fixtures.
 
 The synthetic digit corpus is cached per session: rendering 11000 glyphs
-takes a while, and the desk-scale training tests all want the same data.
+takes a few seconds, and the desk-scale training tests all want the same
+data.
 """
 
 import numpy as np

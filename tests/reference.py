@@ -1,10 +1,16 @@
 """Slow, obviously-correct reference implementations for the tests.
 
-Everything here is plain quadruple loops or dense matrices so the fast
-GEMM-based code in the package has an independent point of comparison.
+Everything here is plain quadruple loops, dense matrices or one-buffer
+byte packing, so the fast code in the package has an independent point
+of comparison.
 """
 
+import struct
+import zlib
+
 import numpy as np
+
+from ebssc import data
 
 
 def correlate_loops(x, bank, pad):
@@ -109,3 +115,56 @@ def shrink_loops(v, beta_plus, beta_minus):
         elif val < -beta_minus:
             out[idx] = val + beta_minus
     return out
+
+
+def render_meshgrid(points, side):
+    """Pen intensity from the nearest stroke point, with the squared
+    distances formed over a full (side, side) meshgrid per point."""
+    grid = (np.arange(side) + 0.5) / side
+    gx, gy = np.meshgrid(grid, grid, indexing="xy")
+    d2 = ((gx[None] - points[:, 0, None, None]) ** 2
+          + (gy[None] - points[:, 1, None, None]) ** 2)
+    return np.exp(-d2.min(axis=0) / (2.0 * data._PEN_SIGMA ** 2))
+
+
+def digits_arrays_per_image(n_train, n_test, seed):
+    """The synthetic digit corpus rendered one image at a time: stroke
+    points rebuilt from the glyph for every image, meshgrid distances."""
+    rng = np.random.default_rng(seed)
+
+    def make(count):
+        labels = np.tile(np.arange(10), count // 10)
+        images = np.empty((count, 28, 28), dtype=np.uint8)
+        for i, lab in enumerate(labels):
+            pts = data._jitter(data._stroke_points(int(lab)), rng)
+            img = render_meshgrid(pts, 28) * rng.uniform(0.82, 1.0)
+            img = img + rng.normal(0.0, 0.04, img.shape)
+            images[i] = (np.clip(img, 0.0, 1.0) * 255).astype(np.uint8)
+        order = rng.permutation(count)
+        return images[order], labels[order]
+
+    return make(n_train) + make(n_test)
+
+
+TENSOR_TAGS = {np.dtype(np.float32): 0, np.dtype(np.float64): 1,
+               np.dtype(np.int64): 2, np.dtype(np.uint64): 3,
+               np.dtype(np.int32): 4, np.dtype(np.uint8): 5}
+
+
+def pack_tensor_file(tensors, text=""):
+    """The checkpoint container's bytes built in one buffer: every
+    tensor copied out with ``tobytes``, all of it joined, then the CRC32
+    of the whole appended."""
+    parts = [struct.pack("<I", len(tensors))]
+    for name in sorted(tensors):
+        arr = np.asarray(tensors[name], order="C")
+        nb = name.encode("utf-8")
+        parts.append(struct.pack("<I", len(nb)))
+        parts.append(nb)
+        parts.append(struct.pack("<BB", TENSOR_TAGS[arr.dtype], arr.ndim))
+        parts.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
+        parts.append(arr.astype(arr.dtype.newbyteorder("<")).tobytes())
+    tb = text.encode("utf-8")
+    payload = b"".join([b"EBSC", struct.pack("<I", 1),
+                        struct.pack("<I", len(tb)), tb, b"".join(parts)])
+    return payload + struct.pack("<I", zlib.crc32(payload))

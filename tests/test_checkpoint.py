@@ -7,13 +7,14 @@ import zlib
 import numpy as np
 import pytest
 
-from ebssc import CheckpointError
+from ebssc import CheckpointError, network
 from ebssc.checkpoint import Checkpoint, load_checkpoint, read_tensor_file, \
     save_checkpoint, write_tensor_file
 from ebssc.config import variant_spec
 from ebssc.data import Whitening
 from ebssc.learn import OptimizerState, TrainConfig, adam_step
 from ebssc.network import BlockSpec, NetworkSpec, build
+from reference import TENSOR_TAGS, pack_tensor_file
 
 
 def _one_nan(shape):
@@ -51,6 +52,36 @@ class TestTensorFile:
         for k in tensors:
             assert out[k].dtype == tensors[k].dtype
             np.testing.assert_array_equal(out[k], tensors[k])
+
+    def test_bytes_match_the_one_buffer_packer(self, tmp_path):
+        """Writing tensor by tensor gives the bytes of packing the whole
+        file in one buffer: every dtype tag, a scalar, an empty tensor,
+        a rank-4 tensor and a non-contiguous one."""
+        rng = np.random.default_rng(42)
+        tensors = {f"t{dt.name}": rng.integers(0, 100, 5).astype(dt)
+                   for dt in TENSOR_TAGS}
+        tensors.update({
+            "scalar": np.float64(-2.5),
+            "empty": np.zeros((0, 3), dtype=np.float32),
+            "rank4": rng.standard_normal((2, 3, 4, 5)).astype(np.float32),
+            "strided": rng.standard_normal((6, 4))[::2, ::-1],
+        })
+        path = tmp_path / "t.ckpt"
+        write_tensor_file(str(path), tensors, text="net\n")
+        assert path.read_bytes() == pack_tensor_file(tensors, text="net\n")
+
+    def test_loaded_arrays_own_their_memory(self, tmp_path):
+        """Read arrays are writable and own their data, so none of them
+        keeps the file's bytes alive."""
+        path = tmp_path / "t.ckpt"
+        write_tensor_file(str(path), {
+            "a": np.arange(12.0).reshape(3, 4), "s": np.int64(7),
+            "z": np.zeros(0, dtype=np.uint8),
+            "w": np.ones((2, 1, 3, 3), dtype=np.float32)})
+        _, out = read_tensor_file(str(path))
+        for name, arr in out.items():
+            assert arr.flags.owndata and arr.flags.writeable, name
+            assert arr.base is None, name
 
     def test_scalar_and_empty_tensors(self, tmp_path):
         """Rank-0 and zero-length arrays are legal entries."""
@@ -182,6 +213,22 @@ class TestCheckpoint:
         b = np.random.default_rng()
         b.bit_generator.state = back.rng_state
         np.testing.assert_array_equal(a.random(100), b.random(100))
+
+    def test_loading_never_builds_the_network(self, tmp_path,
+                                              monkeypatch):
+        """Parameters are checked against ``param_shapes``: loading neither
+        builds the network nor draws from any rng."""
+        ck = self._snapshot()
+        path = tmp_path / "run.ckpt"
+        save_checkpoint(str(path), ck)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("load_checkpoint built or drew parameters")
+
+        monkeypatch.setattr(network, "build", refuse)
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        back = load_checkpoint(str(path))
+        assert back.params.keys() == ck.params.keys()
 
     def test_optional_parts_may_be_absent(self, tmp_path):
         """Optimizer, RNG, and whitening are all optional."""

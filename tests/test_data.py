@@ -11,6 +11,7 @@ from ebssc import DataError
 from ebssc.data import CIFAR_RECORD, Dataset, augment, digits_arrays, \
     load_cifar10_bin, load_digits_dir, load_idx, preprocess, save_idx, \
     write_digits_idx
+from reference import digits_arrays_per_image
 
 
 class TestIdxFormat:
@@ -25,6 +26,18 @@ class TestIdxFormat:
         out = load_idx(str(path))
         assert out.dtype == np.float32 and out.shape == (5, 9, 7)
         np.testing.assert_allclose(out, arr / 255.0, atol=1e-7)
+
+    def test_images_scale_bitwise_like_a_float32_division(self, tmp_path):
+        """Scaling in place gives exactly ``raw.astype(float32) / 255``,
+        and the result owns its memory."""
+        arr = np.arange(256, dtype=np.uint8).reshape(4, 8, 8)
+        path = tmp_path / "imgs"
+        save_idx(str(path), arr)
+        out = load_idx(str(path))
+        want = arr.astype(np.float32) / 255.0
+        assert out.dtype == want.dtype
+        assert out.tobytes() == want.tobytes()
+        assert out.flags.owndata and out.flags.writeable
 
     def test_label_round_trip(self, tmp_path):
         """1-D integer arrays travel through the label layout."""
@@ -92,6 +105,18 @@ class TestCifarFormat:
         self._write(b, [9, 1], rng)
         ds = load_cifar10_bin([str(a), str(b)])
         np.testing.assert_array_equal(ds.labels, [0, 9, 1])
+
+    def test_images_scale_bitwise_like_a_float32_division(self, tmp_path):
+        """Pixels come out exactly as ``raw.astype(float32) / 255``."""
+        rng = np.random.default_rng(42)
+        p = tmp_path / "batch.bin"
+        self._write(p, [2, 5, 8], rng)
+        recs = np.frombuffer(p.read_bytes(), dtype=np.uint8)
+        raw = recs.reshape(3, CIFAR_RECORD)[:, 1:].reshape(3, 3, 32, 32)
+        want = raw.astype(np.float32) / 255.0
+        got = load_cifar10_bin([str(p)]).images
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
     def test_partial_record_rejected(self, tmp_path):
         """Files must hold a whole number of records."""
@@ -212,9 +237,26 @@ class TestDigitsCorpus:
             np.testing.assert_array_equal(x, y)
 
     def test_counts_must_balance(self):
-        """Non-multiples of 10 cannot be balanced."""
+        """Non-multiples of 10 cannot be balanced, and negative counts
+        are refused before anything is rendered."""
         with pytest.raises(ValueError):
             digits_arrays(17, 10)
+        with pytest.raises(ValueError, match="non-negative"):
+            digits_arrays(10, -20)
+        with pytest.raises(ValueError, match="non-negative"):
+            digits_arrays(-10, 10)
+
+    @pytest.mark.parametrize("n_train, n_test, seed", [
+        (20, 10, 5), (30, 0, 1), (0, 40, 2), (0, 0, 3), (60, 30, 1234)])
+    def test_matches_the_per_image_reference(self, n_train, n_test, seed):
+        """The corpus is bitwise the per-image meshgrid renderer's, empty
+        splits included: cached strokes and separable distances change
+        no pixel and no draw."""
+        got = digits_arrays(n_train, n_test, seed=seed)
+        want = digits_arrays_per_image(n_train, n_test, seed)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
 
     def test_write_and_load_directory(self, tmp_path):
         """The on-disk layout round-trips through load_digits_dir."""

@@ -6,11 +6,11 @@ import pytest
 
 from ebssc import ConfigError, DataError, ImproperThresholdError, \
     ShapeError, tensor
-from ebssc.config import parse_network, variant_spec
+from ebssc.config import VARIANTS, parse_network, variant_spec
 from ebssc.learn import evaluate
 from ebssc.network import BlockSpec, NetworkSpec, block_shapes, build, \
     class_energy_breakdown, decode, decode_class_bias, decode_residual, \
-    forward, unrolled_infer
+    forward, param_shapes, unrolled_infer
 from ebssc.coder import arm_thresholds
 from ebssc.tape import Ops
 
@@ -182,6 +182,19 @@ class TestBuild:
         """The linear head flattens the classifier block's output."""
         params = build(_toy_linear_spec(), seed=0)
         assert params["classifier.w"].shape == (3, 4 * 4 * 4)
+
+    @pytest.mark.parametrize("spec", [
+        *(variant_spec(v) for v in VARIANTS), _toy_energy_spec(),
+        _toy_energy_spec(bias_maps=True), _stacked_energy_spec(),
+        _stacked_pool_spec(), _toy_linear_spec()],
+        ids=[*VARIANTS, "toy_energy", "toy_energy_maps", "stacked_energy",
+             "stacked_pool", "toy_linear"])
+    def test_param_shapes_is_what_build_gives(self, spec):
+        """The geometry table names every parameter ``build`` draws, with
+        its shape, in ``build``'s order."""
+        built = build(spec, seed=0)
+        assert list(param_shapes(spec).items()) == [
+            (name, arr.shape) for name, arr in built.items()]
 
     def test_requested_dtype(self):
         """float64 builds produce float64 parameters throughout."""
